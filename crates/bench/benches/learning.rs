@@ -43,7 +43,6 @@ fn learners(c: &mut Criterion) {
         erm_epochs: 30,
         em: slimfast_core::config::EmConfig {
             max_iterations: 5,
-            m_step_epochs: 5,
             ..Default::default()
         },
         ..Default::default()

@@ -5,9 +5,8 @@
 //! storage footprint (bytes per claim, with the estimated pre-CSR nested-layout
 //! equivalent), and times an unsupervised EM fit — the paper's "millions of claims"
 //! regime — at one worker thread and at four. Timings are the minimum of several
-//! interleaved rounds (after a warm-up fit that populates the worker pool and the SGD
-//! scratch arenas), so the published numbers measure the steady state the persistent
-//! pool is designed for. Every round's fitted weights are asserted bitwise-identical
+//! interleaved rounds (after a warm-up fit that populates the worker pool), so the
+//! published numbers measure the steady state the persistent pool is designed for. Every round's fitted weights are asserted bitwise-identical
 //! across thread counts (the executor's core guarantee) before any timing is trusted,
 //! and each point reports its `parallel_efficiency`: the t1/t4 speedup divided by the
 //! lanes a 4-thread request actually runs on this machine
@@ -70,8 +69,8 @@ const FULL_EXTRA: &[GridPoint] = &[GridPoint {
 }];
 
 /// Timed rounds per thread count (interleaved t1/t4 so machine drift cancels); the
-/// published time is the per-setting minimum, i.e. the cost floor with the pool and
-/// scratch arenas in steady state.
+/// published time is the per-setting minimum, i.e. the cost floor with the pool in
+/// steady state.
 const ROUNDS: usize = 7;
 
 fn generate(point: &GridPoint) -> SyntheticInstance {
@@ -102,7 +101,6 @@ fn fit_config(threads: usize) -> SlimFastConfig {
     SlimFastConfig {
         em: slimfast_core::config::EmConfig {
             max_iterations: 5,
-            m_step_epochs: 4,
             ..Default::default()
         },
         threads,
@@ -173,8 +171,8 @@ fn run_point(point: &GridPoint) -> PointReport {
         let (model, _) = estimator.train(&input);
         (start.elapsed().as_secs_f64(), model)
     };
-    // Warm-up: spawns the pool lanes a 4-thread fit will use and fills the SGD scratch
-    // arenas, so every timed round below measures the pool's steady state.
+    // Warm-up: spawns the pool lanes a 4-thread fit will use, so every timed round below
+    // measures the pool's steady state.
     let (_, warm_model) = timed_fit(4);
 
     let bits =

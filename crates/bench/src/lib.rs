@@ -74,7 +74,6 @@ pub fn slimfast_config_for(scale: Scale) -> SlimFastConfig {
             erm_epochs: 40,
             em: slimfast_core::config::EmConfig {
                 max_iterations: 10,
-                m_step_epochs: 6,
                 ..Default::default()
             },
             ..Default::default()

@@ -15,7 +15,6 @@
 //!   closed-form path in [`crate::model`].
 
 use std::cell::RefCell;
-use std::sync::RwLock;
 
 use slimfast_graph::{FactorGraph, FactorKind, VariableId, WeightId};
 
@@ -40,8 +39,8 @@ thread_local! {
 /// then shared (immutably) by the ERM learner, the EM learner, and the evaluation
 /// harness. It replaces the per-iteration work the learners used to do — walking nested
 /// adjacency lists, re-deriving `domain().position()` for every claim, and materializing
-/// a `SparseVec` feature vector per observation — with index arithmetic over five flat
-/// arrays:
+/// a `SparseVec` feature vector per observation — with index arithmetic over a handful
+/// of flat arrays:
 ///
 /// * **objects** — the observed objects (non-empty domain), ascending, with each
 ///   object's ground-truth label resolved to a domain position (or `-1`);
@@ -49,7 +48,9 @@ thread_local! {
 ///   carrying the claiming source and the domain position of the claimed value;
 /// * **footprints** — per *source* (not per claim), the sparse parameter vector
 ///   `{w_s} ∪ {w_k : f_{s,k} ≠ 0}` of Equations 3/4, stored once and referenced by
-///   every claim of that source (the pre-CSR code duplicated it per claim);
+///   every claim of that source (the pre-CSR code duplicated it per claim), together
+///   with the source's claim count `n_s`, the fixed half of the M-step's per-source
+///   sufficient statistics (see [`crate::m_step`]);
 /// * **ERM class-feature rows** — per *labelled* object, one merged parameter row per
 ///   domain value aggregating the footprints of the sources claiming that value
 ///   (`erm_row_offsets`/`erm_class_offsets` into `erm_params`/`erm_values`), so the
@@ -81,6 +82,8 @@ pub struct CompiledProblem {
     footprint_params: Vec<u32>,
     /// Flat parameter values matching `footprint_params` (1.0 for the indicator).
     footprint_values: Vec<f64>,
+    /// Per source: the number of claims it makes (`n_s`).
+    claim_counts: Vec<f64>,
     /// Compiled-object indices that carry a usable label (the ERM example set).
     labeled: Vec<u32>,
     /// CSR offsets of each labelled example's class rows: labelled example `e` owns the
@@ -95,9 +98,9 @@ pub struct CompiledProblem {
     erm_params: Vec<u32>,
     /// Flat parameter values matching `erm_params`.
     erm_values: Vec<f64>,
-    /// Claim-count-balanced object chunk grid shared by both E-step passes. Computed
-    /// once per compile from `claim_offsets`; depends only on the data, so E-step
-    /// results stay bitwise-identical at any thread count.
+    /// Claim-count-balanced object chunk grid of the sharded E-step posterior pass.
+    /// Computed once per compile from `claim_offsets`; depends only on the data, so
+    /// E-step results stay bitwise-identical at any thread count.
     chunk_grid: exec::ChunkGrid,
 }
 
@@ -155,6 +158,10 @@ impl CompiledProblem {
             domain_offsets.push(domain_offsets.last().unwrap() + domain.len() as u32);
             claim_offsets.push(claim_sources.len() as u32);
         }
+        let mut claim_counts = vec![0.0; num_sources];
+        for &s in &claim_sources {
+            claim_counts[s as usize] += 1.0;
+        }
 
         // ERM class-feature CSR: for every labelled object, one merged row per domain
         // value summing the footprints of the sources that claimed it. Zero cost for
@@ -209,6 +216,7 @@ impl CompiledProblem {
             footprint_offsets,
             footprint_params,
             footprint_values,
+            claim_counts,
             labeled,
             erm_row_offsets,
             erm_class_offsets,
@@ -231,6 +239,11 @@ impl CompiledProblem {
     /// Number of claims (observations whose value appears in its object's domain).
     pub fn num_claims(&self) -> usize {
         self.claim_sources.len()
+    }
+
+    /// Per source: the number of claims it makes (`n_s`), indexed by source.
+    pub fn claim_counts(&self) -> &[f64] {
+        &self.claim_counts
     }
 
     /// Number of labelled compiled objects (the ERM example count).
@@ -269,38 +282,33 @@ impl CompiledProblem {
     /// Like [`CompiledProblem::trust_scores`], but refills a caller-owned buffer so the
     /// per-iteration EM loop allocates nothing in steady state.
     pub fn trust_scores_into(&self, weights: &[f64], trust: &mut Vec<f64>) {
-        let num_sources = self.footprint_offsets.len() - 1;
         trust.clear();
-        trust.resize(num_sources, 0.0);
-        for (s, t) in trust.iter_mut().enumerate() {
-            let range = self.footprint_offsets[s] as usize..self.footprint_offsets[s + 1] as usize;
-            *t = kernels::dot_csr(
-                &self.footprint_params[range.clone()],
-                &self.footprint_values[range],
-                weights,
-            );
-        }
+        trust.extend((0..self.claim_counts.len()).map(|s| {
+            let (params, values) = self.footprint(s);
+            kernels::dot_csr(params, values, weights)
+        }));
     }
 
     /// The E-step: fills `posteriors` (flat, indexed by the object domain offsets) with
     /// `P(T_o = d | Ω; w)` for every compiled object — labelled objects are clamped to a
-    /// point mass on their label — and `targets` with the per-claim correctness target
-    /// (the posterior mass of the claimed value) the M-step fits against.
+    /// point mass on their label — and `correct` with the per-source target sums `T_s`
+    /// (the posterior mass of the values source `s` claimed, summed over its claims),
+    /// the half of the M-step's sufficient statistics that moves between iterations.
     ///
-    /// Sharded over the compiled claim-count-balanced object grid on up to `threads`
-    /// workers; the grid depends only on the data and writes are disjoint, so results
-    /// are identical at any thread count.
+    /// The posterior pass is sharded over the compiled claim-count-balanced object grid
+    /// on up to `threads` workers; the grid depends only on the data and writes are
+    /// disjoint. `T_s` is then accumulated serially in claim order. Results are therefore
+    /// identical at any thread count.
     pub fn e_step(
         &self,
         trust: &[f64],
         threads: usize,
         posteriors: &mut Vec<f64>,
-        targets: &mut Vec<f64>,
+        correct: &mut Vec<f64>,
     ) {
         let grid = &self.chunk_grid;
         posteriors.clear();
         posteriors.resize(self.num_posterior_slots(), 0.0);
-        // Pass 1: posteriors, sharded by object chunks over disjoint domain ranges.
         let boundaries = grid.slice_boundaries(|i| self.domain_offsets[i] as usize);
         exec::for_each_slice_mut(posteriors, &boundaries, threads, |part, slice| {
             let objects = grid.objects(part);
@@ -338,31 +346,14 @@ impl CompiledProblem {
                 kernels::softmax_rows(slice, &self.domain_offsets[objects.start..objects.end + 1]);
             }
         });
-        // Pass 2: per-claim targets, sharded by object chunks over disjoint claim ranges.
-        targets.clear();
-        targets.resize(self.num_claims(), 0.0);
-        let boundaries = grid.slice_boundaries(|i| self.claim_offsets[i] as usize);
-        let posteriors = &*posteriors;
-        exec::for_each_slice_mut(targets, &boundaries, threads, |part, slice| {
-            let objects = grid.objects(part);
-            let base = self.claim_offsets[objects.start] as usize;
-            for i in objects {
-                let post_base = self.domain_offsets[i] as usize;
-                for c in self.claim_offsets[i] as usize..self.claim_offsets[i + 1] as usize {
-                    slice[c - base] = posteriors[post_base + self.claim_classes[c] as usize];
-                }
+        correct.clear();
+        correct.resize(self.claim_counts.len(), 0.0);
+        for i in 0..self.objects.len() {
+            let post_base = self.domain_offsets[i] as usize;
+            for c in self.claim_offsets[i] as usize..self.claim_offsets[i + 1] as usize {
+                correct[self.claim_sources[c] as usize] +=
+                    posteriors[post_base + self.claim_classes[c] as usize];
             }
-        });
-    }
-
-    /// The M-step / accuracy-model objective over this problem: one binary example per
-    /// claim ("source `s` was correct on `o`") with the given fractional targets.
-    pub fn claim_objective<'a>(&'a self, targets: &'a [f64]) -> ClaimCorrectnessObjective<'a> {
-        debug_assert_eq!(targets.len(), self.num_claims());
-        ClaimCorrectnessObjective {
-            problem: self,
-            targets,
-            batch: RwLock::new(SourceBatch::default()),
         }
     }
 
@@ -372,18 +363,15 @@ impl CompiledProblem {
         LabeledConditionalObjective { problem: self }
     }
 
+    /// The parameter footprint of one source: its indicator parameter (value 1.0)
+    /// first, then its feature parameters.
     #[inline]
-    fn footprint(&self, source: usize) -> std::ops::Range<usize> {
-        self.footprint_offsets[source] as usize..self.footprint_offsets[source + 1] as usize
-    }
-
-    #[inline]
-    fn footprint_dot(&self, source: usize, weights: &[f64]) -> f64 {
-        let range = self.footprint(source);
-        kernels::dot_csr(
+    pub(crate) fn footprint(&self, source: usize) -> (&[u32], &[f64]) {
+        let range =
+            self.footprint_offsets[source] as usize..self.footprint_offsets[source + 1] as usize;
+        (
             &self.footprint_params[range.clone()],
             &self.footprint_values[range],
-            weights,
         )
     }
 
@@ -393,164 +381,6 @@ impl CompiledProblem {
         let lo = self.erm_class_offsets[row] as usize;
         let hi = self.erm_class_offsets[row + 1] as usize;
         (&self.erm_params[lo..hi], &self.erm_values[lo..hi])
-    }
-}
-
-/// Per-batch precomputation of the M-step objective: every claim of one source shares
-/// the source's trust probability within a batch (the weights are fixed until the next
-/// update), so the sigmoid and both clamped log terms are computed once per source per
-/// batch instead of once per claim.
-#[derive(Debug, Default)]
-struct SourceBatch {
-    /// `σ(trust_s)` per source at the batch's weights. Slots of sources absent from
-    /// the current batch are stale; no chunk of the batch reads them.
-    prob: Vec<f64>,
-    /// `ln(clamp(prob))` per source.
-    log_p: Vec<f64>,
-    /// `ln(1 − clamp(prob))` per source.
-    log_not_p: Vec<f64>,
-    /// Batch-generation stamp per source; a slot is fresh iff `stamp[s] == tick`.
-    stamp: Vec<u64>,
-    /// Current batch generation.
-    tick: u64,
-    /// Sources appearing in the current batch, in first-occurrence order.
-    touched: Vec<u32>,
-    /// Compact trust-score scratch, parallel to `touched`.
-    scores: Vec<f64>,
-}
-
-/// The EM M-step objective: every claim is a binary "the source was correct" example
-/// whose features are the source's parameter footprint and whose fractional target is
-/// the E-step posterior of the claimed value. See [`CompiledProblem::claim_objective`].
-///
-/// The gradient chunks run over the flat footprint CSR through a per-batch source
-/// cache: [`StochasticObjective::begin_batch`] batches every source's trust score
-/// ([`kernels::dot_csr`]), probability ([`kernels::sigmoid_slice`]) and log terms once,
-/// and the per-claim loop degrades to a table gather plus a handful of entry pushes.
-pub struct ClaimCorrectnessObjective<'a> {
-    problem: &'a CompiledProblem,
-    targets: &'a [f64],
-    batch: RwLock<SourceBatch>,
-}
-
-impl ClaimCorrectnessObjective<'_> {
-    /// Loss and gradient entries of one claim against an up-to-date source batch.
-    #[inline]
-    fn claim_loss_grad(
-        &self,
-        batch: &SourceBatch,
-        example: usize,
-        entries: &mut Vec<(usize, f64)>,
-    ) -> f64 {
-        let p = self.problem;
-        let source = p.claim_sources[example] as usize;
-        let target = self.targets[example];
-        let err = batch.prob[source] - target;
-        for j in p.footprint(source) {
-            entries.push((p.footprint_params[j] as usize, err * p.footprint_values[j]));
-        }
-        -(target * batch.log_p[source] + (1.0 - target) * batch.log_not_p[source])
-    }
-}
-
-impl StochasticObjective for ClaimCorrectnessObjective<'_> {
-    fn num_params(&self) -> usize {
-        self.problem.space.len()
-    }
-
-    fn num_examples(&self) -> usize {
-        self.problem.num_claims()
-    }
-
-    fn example_loss_grad(
-        &self,
-        w: &[f64],
-        example: usize,
-        grad: &mut slimfast_optim::SparseVec,
-    ) -> f64 {
-        let p = self.problem;
-        let source = p.claim_sources[example] as usize;
-        let mut prob = [p.footprint_dot(source, w)];
-        kernels::sigmoid_slice(&mut prob);
-        let prob = prob[0];
-        let target = self.targets[example];
-        let err = prob - target;
-        for j in p.footprint(source) {
-            grad.add(p.footprint_params[j] as usize, err * p.footprint_values[j]);
-        }
-        // Same clamped cross-entropy as the batched path, with the same log kernel, so
-        // per-example and chunked evaluation of one claim agree bitwise.
-        let pc = prob.clamp(1e-12, 1.0 - 1e-12);
-        -(target * kernels::ln(pc) + (1.0 - target) * kernels::ln(1.0 - pc))
-    }
-
-    fn begin_batch(&self, w: &[f64], examples: &[usize]) {
-        let p = self.problem;
-        let num_sources = p.footprint_offsets.len() - 1;
-        let mut batch = self
-            .batch
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let batch = &mut *batch;
-        if batch.prob.len() != num_sources {
-            batch.prob.resize(num_sources, 0.0);
-            batch.log_p.resize(num_sources, 0.0);
-            batch.log_not_p.resize(num_sources, 0.0);
-            batch.stamp = vec![0; num_sources];
-            batch.tick = 0;
-        }
-        // Refresh only the sources the batch actually touches: a small batch over a
-        // large source population pays for its own claims, not the whole table.
-        batch.tick += 1;
-        batch.touched.clear();
-        for &example in examples {
-            let s = p.claim_sources[example];
-            if batch.stamp[s as usize] != batch.tick {
-                batch.stamp[s as usize] = batch.tick;
-                batch.touched.push(s);
-            }
-        }
-        batch.scores.clear();
-        for &s in &batch.touched {
-            batch.scores.push(p.footprint_dot(s as usize, w));
-        }
-        kernels::sigmoid_slice(&mut batch.scores);
-        for (&s, &prob) in batch.touched.iter().zip(&batch.scores) {
-            let pc = prob.clamp(1e-12, 1.0 - 1e-12);
-            batch.prob[s as usize] = prob;
-            batch.log_p[s as usize] = kernels::ln(pc);
-            batch.log_not_p[s as usize] = kernels::ln(1.0 - pc);
-        }
-    }
-
-    fn chunk_loss_grad(
-        &self,
-        w: &[f64],
-        examples: &[usize],
-        entries: &mut Vec<(usize, f64)>,
-    ) -> f64 {
-        let batch = self
-            .batch
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if batch.prob.len() != self.problem.footprint_offsets.len() - 1 {
-            // `begin_batch` has not run (a direct caller outside the batched
-            // minimizer): fall back to self-contained per-example evaluation.
-            drop(batch);
-            let mut grad = slimfast_optim::SparseVec::new();
-            let mut loss = 0.0;
-            for &example in examples {
-                grad.clear();
-                loss += self.example_loss_grad(w, example, &mut grad);
-                entries.extend(grad.iter());
-            }
-            return loss;
-        }
-        let mut loss = 0.0;
-        for &example in examples {
-            loss += self.claim_loss_grad(&batch, example, entries);
-        }
-        loss
     }
 }
 

@@ -20,9 +20,8 @@ pub enum LearnerChoice {
 pub struct EmConfig {
     /// Maximum number of E/M iterations.
     pub max_iterations: usize,
-    /// SGD epochs per M-step.
-    pub m_step_epochs: usize,
-    /// Convergence tolerance on the maximum absolute weight change between iterations.
+    /// Convergence tolerance: EM stops once no posterior `P(T_o = d)` changes by this much
+    /// or more between consecutive E-steps.
     pub tolerance: f64,
 }
 
@@ -30,7 +29,6 @@ impl Default for EmConfig {
     fn default() -> Self {
         Self {
             max_iterations: 25,
-            m_step_epochs: 10,
             tolerance: 1e-3,
         }
     }
@@ -146,23 +144,27 @@ pub struct SlimFastConfig {
     pub learner: LearnerChoice,
     /// SGD epochs used by the ERM learner.
     pub erm_epochs: usize,
-    /// Regularization applied to all weights (sources and features).
+    /// Regularization applied to all weights (sources and features). ERM applies all of
+    /// it. EM's exact M-step uses only the L2 part, floored at
+    /// [`crate::m_step::MIN_L2`], and ignores an L1 part.
     pub penalty: Penalty,
-    /// Step-size schedule.
+    /// Step-size schedule of the ERM learner's SGD.
     pub learning_rate: LearningRate,
     /// EM-specific settings.
     pub em: EmConfig,
     /// Threshold `τ` of Algorithm 2: when `√(|K|/|G|)·log|G|` falls below it, ERM is chosen
     /// without further analysis.
     pub optimizer_threshold: f64,
-    /// Seed for all stochastic components (SGD shuffles, EM initialisation).
+    /// Seed for all stochastic components (the SGD shuffles of ERM, including EM's ERM
+    /// warm start).
     pub seed: u64,
     /// Worker threads for the sharded E-step and SGD gradient accumulation. `0` (the
     /// default) resolves the `SLIMFAST_THREADS` environment variable, then the
     /// machine's available parallelism (see [`crate::exec`]). Fits are
     /// bitwise-identical at any thread count; this knob only changes wall-clock time.
     pub threads: usize,
-    /// Examples per SGD parameter update on large objectives. `0` (the default)
+    /// Examples per SGD parameter update of the ERM learner on large objectives (EM's
+    /// M-step runs no SGD). `0` (the default)
     /// auto-tunes the batch size from each objective's example count (see
     /// [`slimfast_optim::auto_batch_size`]): small fits keep per-example SGD, large
     /// fits get batches sized so the deterministic parallel minimizer has a chunk grid
@@ -195,19 +197,6 @@ impl SlimFastConfig {
     pub fn erm_sgd(&self) -> SgdConfig {
         SgdConfig {
             epochs: self.erm_epochs,
-            learning_rate: self.learning_rate,
-            penalty: self.penalty,
-            seed: self.seed,
-            batch_size: self.batch_size,
-            threads: self.threads,
-            ..SgdConfig::default()
-        }
-    }
-
-    /// The SGD configuration used by one EM M-step.
-    pub fn m_step_sgd(&self) -> SgdConfig {
-        SgdConfig {
-            epochs: self.em.m_step_epochs,
             learning_rate: self.learning_rate,
             penalty: self.penalty,
             seed: self.seed,
@@ -265,7 +254,6 @@ mod tests {
         };
         assert_eq!(config.erm_sgd().epochs, 7);
         assert_eq!(config.erm_sgd().seed, 11);
-        assert_eq!(config.m_step_sgd().epochs, config.em.m_step_epochs);
     }
 
     #[test]

@@ -6,22 +6,32 @@
 //! * **E-step** — with the current weights, compute the posterior of every unlabelled
 //!   object's value (labelled objects stay clamped to their ground-truth value, making the
 //!   procedure semi-supervised exactly as the paper describes);
-//! * **M-step** — refit the *accuracy model* of Equation 3 by SGD: every observation
-//!   `(s, o, v)` becomes one binary example "source `s` was correct on `o`" whose
-//!   fractional target is the posterior probability that `T_o = v`, and whose features are
-//!   the source indicator plus the source's domain features. (Fitting the conditional
-//!   object-level logit against its own posteriors would be a no-op: its gradient vanishes
-//!   identically at the current weights, because the targets *are* the model output.)
+//! * **M-step** — refit the *accuracy model* of Equation 3: every observation `(s, o, v)`
+//!   is one binary example "source `s` was correct on `o`" whose fractional target is the
+//!   posterior probability that `T_o = v`, and whose features are the source indicator
+//!   plus the source's domain features. All claims of a source share those features, so
+//!   the M-step objective depends on the E-step only through the per-source target sums,
+//!   and [`crate::m_step`] solves it over the sources with an exact Newton step. (Fitting
+//!   the conditional object-level logit against its own posteriors would be a no-op: its
+//!   gradient vanishes identically at the current weights, because the targets *are* the
+//!   model output.)
+//!
+//! Each iteration takes one Newton step rather than solving the M-step to optimality.
+//! This is generalized EM: every step decreases the M-step objective, and the fixed point
+//! is the same as with a full inner solve. EM stops once the largest change of any
+//! posterior between consecutive E-steps falls below [`EmConfig::tolerance`]. Raw weights
+//! are no stopping signal: the L2 term alone pins the direction along which source
+//! indicators and feature weights trade off.
 //!
 //! The objective is non-convex; Theorem 3 bounds the error of the resulting accuracy
 //! estimates in terms of the source accuracies (`δ`) and the observation density (`p`).
 //!
-//! Both steps run over a [`CompiledProblem`] built once per fit: the E-step precomputes
-//! one trust score per source and then shards posterior recomputation over object ranges,
-//! and the M-step's gradient accumulation shards over claim chunks — all with fixed-order
-//! reductions, so a fit is bitwise-identical at any `SLIMFAST_THREADS` setting.
-
-use slimfast_optim::minimize;
+//! Both steps run over a [`CompiledProblem`] built once per fit. The E-step precomputes
+//! one trust score per source and shards posterior recomputation over object ranges; the
+//! target sums and the M-step run serially in a fixed order. A fit is therefore
+//! bitwise-identical at any `SLIMFAST_THREADS` setting.
+//!
+//! [`EmConfig::tolerance`]: crate::config::EmConfig::tolerance
 
 use slimfast_data::{Dataset, FeatureMatrix, GroundTruth};
 
@@ -29,6 +39,7 @@ use crate::compile::CompiledProblem;
 use crate::config::SlimFastConfig;
 use crate::erm::train_erm_compiled;
 use crate::exec;
+use crate::m_step;
 use crate::model::SlimFastModel;
 
 /// Diagnostics of an EM run.
@@ -36,8 +47,9 @@ use crate::model::SlimFastModel;
 pub struct EmTrace {
     /// Number of E/M iterations executed.
     pub iterations: usize,
-    /// Maximum absolute weight change at each iteration.
-    pub weight_deltas: Vec<f64>,
+    /// Largest absolute change of any posterior between consecutive E-steps, one entry
+    /// per iteration.
+    pub posterior_deltas: Vec<f64>,
     /// Whether the tolerance criterion fired before the iteration cap.
     pub converged: bool,
 }
@@ -50,6 +62,18 @@ pub fn train_em_compiled(
     dataset: &Dataset,
     config: &SlimFastConfig,
 ) -> (SlimFastModel, EmTrace) {
+    let estimate = crate::optimizer::estimate_average_accuracy(dataset);
+    train_em_from_estimate(problem, estimate, config)
+}
+
+/// [`train_em_compiled`] with the agreement-based average-accuracy estimate supplied by
+/// the caller, so a fit whose optimizer already built the agreement matrix does not
+/// build it twice.
+pub(crate) fn train_em_from_estimate(
+    problem: &CompiledProblem,
+    estimated_avg_accuracy: Option<f64>,
+    config: &SlimFastConfig,
+) -> (SlimFastModel, EmTrace) {
     let space = problem.space();
     let threads = exec::resolve_threads(config.threads);
 
@@ -59,9 +83,7 @@ pub fn train_em_compiled(
     // are better than random (A*_s ≥ 0.5 + δ/2): every source starts from a shared positive
     // trust score derived from the agreement-based accuracy estimate, which turns the first
     // E-step into a weighted majority vote on the correct branch.
-    let prior_accuracy = crate::optimizer::estimate_average_accuracy(dataset)
-        .unwrap_or(0.7)
-        .clamp(0.55, 0.9);
+    let prior_accuracy = estimated_avg_accuracy.unwrap_or(0.7).clamp(0.55, 0.9);
     let prior_weight = (prior_accuracy / (1.0 - prior_accuracy)).ln();
 
     // Initialisation: if any labels exist, an ERM fit on them is both what the paper's
@@ -82,39 +104,37 @@ pub fn train_em_compiled(
         fitted
     };
 
-    // Flat per-iteration buffers, allocated once and refilled by the E-step: the
-    // posterior slab, the per-claim targets, and the per-source trust scores. Together
-    // with the SGD engine's pooled chunk arenas and the persistent worker pool this
-    // makes steady-state EM iterations allocation-free on the hot path.
+    // Flat buffers, allocated once and refilled by every E-step: the posterior slabs of
+    // the previous and the current E-step, the per-source target sums, and the
+    // per-source trust scores.
     let mut posteriors: Vec<f64> = Vec::new();
-    let mut targets: Vec<f64> = Vec::new();
+    let mut previous: Vec<f64> = Vec::new();
+    let mut correct: Vec<f64> = Vec::new();
     let mut trust: Vec<f64> = Vec::new();
+    problem.trust_scores_into(model.weights(), &mut trust);
+    problem.e_step(&trust, threads, &mut posteriors, &mut correct);
 
+    let l2 = m_step::l2_strength(&config.penalty);
     let mut deltas = Vec::new();
     let mut converged = false;
     let mut iterations = 0;
     for iteration in 0..config.em.max_iterations {
         iterations = iteration + 1;
-        // --- E-step: posterior over every object's value (clamped on labelled ones),
-        //     plus the per-claim correctness targets. ---------------------------------
-        problem.trust_scores_into(model.weights(), &mut trust);
-        problem.e_step(&trust, threads, &mut posteriors, &mut targets);
+        // --- M-step: one Newton step on the accuracy model against the target sums of
+        //     the last E-step, from the current weights. --------------------------------
+        m_step::newton_step(problem, model.weights_mut(), &correct, l2);
 
-        // --- M-step: refit the accuracy model against the posterior correctness targets,
-        //     warm-started from the current weights. -----------------------------------
-        let mut sgd = config.m_step_sgd();
-        // Vary the shuffle order across iterations while staying deterministic overall.
-        sgd.seed = config.seed.wrapping_add(iteration as u64);
-        let objective = problem.claim_objective(&targets);
-        let fit = minimize(&objective, Some(model.weights().to_vec()), &sgd);
-        let delta = fit
-            .weights
+        // --- E-step: posterior over every object's value (clamped on labelled ones),
+        //     plus the per-source target sums for the next M-step. ---------------------
+        std::mem::swap(&mut posteriors, &mut previous);
+        problem.trust_scores_into(model.weights(), &mut trust);
+        problem.e_step(&trust, threads, &mut posteriors, &mut correct);
+        let delta = posteriors
             .iter()
-            .zip(model.weights())
+            .zip(&previous)
             .map(|(new, old)| (new - old).abs())
             .fold(0.0f64, f64::max);
         deltas.push(delta);
-        model = SlimFastModel::new(space, fit.weights);
         if delta < config.em.tolerance {
             converged = true;
             break;
@@ -125,7 +145,7 @@ pub fn train_em_compiled(
         model,
         EmTrace {
             iterations,
-            weight_deltas: deltas,
+            posterior_deltas: deltas,
             converged,
         },
     )
@@ -241,36 +261,92 @@ mod tests {
         let unsup_acc = unsup
             .predict(&inst.dataset, &inst.features)
             .accuracy_against(&inst.truth, &split.test);
-        // Labels can only help (allowing a small tolerance for SGD noise).
+        // Labels can only help (allowing a small tolerance for a different local optimum).
         assert!(
             semi_acc + 0.03 >= unsup_acc,
             "semi-supervised EM ({semi_acc:.3}) should not trail unsupervised EM ({unsup_acc:.3})"
         );
     }
 
+    /// The scaling bench's grid point with `sources × objects` at density 0.05.
+    fn scaling_point(sources: usize, objects: usize) -> SyntheticInstance {
+        SyntheticConfig {
+            name: "scaling".into(),
+            num_sources: sources,
+            num_objects: objects,
+            domain_size: 2,
+            pattern: ObservationPattern::Bernoulli(0.05),
+            accuracy: AccuracyModel {
+                mean: 0.72,
+                spread: 0.12,
+            },
+            features: FeatureModel {
+                num_predictive: 3,
+                num_noise: 2,
+                predictive_strength: 0.2,
+            },
+            copying: None,
+            seed: 20170514,
+        }
+        .generate()
+    }
+
+    fn assert_converges(inst: &SyntheticInstance) -> EmTrace {
+        let empty = GroundTruth::empty(inst.dataset.num_objects());
+        let config = SlimFastConfig::default();
+        let (_, trace) = train_em_traced(&inst.dataset, &inst.features, &empty, &config);
+        assert_eq!(trace.posterior_deltas.len(), trace.iterations);
+        assert!(
+            trace.converged,
+            "{}: EM did not converge in {} iterations: {:?}",
+            inst.name, trace.iterations, trace.posterior_deltas
+        );
+        assert!(*trace.posterior_deltas.last().unwrap() < config.em.tolerance);
+        trace
+    }
+
     #[test]
-    fn em_converges_and_reports_a_trace() {
+    fn em_converges_under_the_default_config() {
+        assert_converges(&instance(0.7, 0.15, 4));
+    }
+
+    #[test]
+    fn em_converges_on_the_scaling_points() {
+        for (sources, objects) in [(200, 5_000), (400, 10_000)] {
+            assert_converges(&scaling_point(sources, objects));
+        }
+    }
+
+    #[test]
+    fn em_returns_a_fixed_point() {
         let inst = instance(0.7, 0.15, 4);
         let empty = GroundTruth::empty(inst.dataset.num_objects());
-        let config = SlimFastConfig {
-            em: crate::config::EmConfig {
-                max_iterations: 40,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let (_, trace) = train_em_traced(&inst.dataset, &inst.features, &empty, &config);
-        assert_eq!(trace.weight_deltas.len(), trace.iterations);
-        // Weight changes should shrink over the run.
-        if trace.iterations >= 3 {
-            let first = trace.weight_deltas[0];
-            let last = *trace.weight_deltas.last().unwrap();
-            assert!(
-                last <= first,
-                "EM deltas should not grow: {:?}",
-                trace.weight_deltas
-            );
-        }
+        let config = SlimFastConfig::default();
+        let problem = CompiledProblem::compile(&inst.dataset, &inst.features, &empty);
+        let (model, trace) = train_em_compiled(&problem, &inst.dataset, &config);
+        assert!(trace.converged);
+
+        // One more E/M iteration from the returned model.
+        let (mut before, mut after, mut correct) = (Vec::new(), Vec::new(), Vec::new());
+        problem.e_step(
+            &problem.trust_scores(model.weights()),
+            1,
+            &mut before,
+            &mut correct,
+        );
+        let mut weights = model.weights().to_vec();
+        let l2 = m_step::l2_strength(&config.penalty);
+        m_step::newton_step(&problem, &mut weights, &correct, l2);
+        problem.e_step(&problem.trust_scores(&weights), 1, &mut after, &mut correct);
+        let moved = before
+            .iter()
+            .zip(&after)
+            .map(|(a, b)| (a - b).abs())
+            .fold(0.0f64, f64::max);
+        assert!(
+            moved <= config.em.tolerance,
+            "one more iteration moved a posterior by {moved}"
+        );
     }
 
     #[test]

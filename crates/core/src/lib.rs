@@ -24,6 +24,8 @@
 //! * [`em`] — expectation maximization when ground truth is scarce: alternates a posterior
 //!   E-step over unlabelled objects with a weighted M-step (Theorem 3 bounds its error in
 //!   terms of the source accuracies and the observation density).
+//! * [`m_step`] — EM's M-step as an exact Newton solve over per-source sufficient
+//!   statistics (claim counts and summed correctness targets).
 //! * [`optimizer`] — SLiMFast's optimizer (Section 4.3, Algorithms 1–2): decides between
 //!   ERM and EM by comparing information units, estimating the average source accuracy
 //!   from the pairwise agreement matrix via rank-one matrix completion.
@@ -79,6 +81,7 @@ pub mod engine;
 pub mod erm;
 pub mod exec;
 pub mod explain;
+pub mod m_step;
 pub mod model;
 pub mod optimizer;
 pub mod serve;

@@ -109,7 +109,7 @@ impl SlimFastModel {
         &self.weights
     }
 
-    /// Mutable access to the weight vector (used by EM's M-step warm starts).
+    /// Mutable access to the weight vector (EM updates it in place).
     pub fn weights_mut(&mut self) -> &mut Vec<f64> {
         &mut self.weights
     }

@@ -14,8 +14,6 @@
 //! contribution is scaled by `m`; we follow the algorithm (no scaling) and expose the
 //! per-observation convention behind [`UnitsConvention`] for sensitivity analysis.
 
-use std::collections::HashMap;
-
 use slimfast_data::{Dataset, FeatureMatrix, GroundTruth};
 use slimfast_optim::{rank_one_completion, AgreementMatrix};
 
@@ -140,30 +138,32 @@ pub fn binary_entropy(p: f64) -> f64 {
 /// `+1` (agree) / `−1` (disagree) over the objects both sources observe.
 pub fn agreement_matrix(dataset: &Dataset) -> AgreementMatrix {
     let n = dataset.num_sources();
-    let mut counts: HashMap<(usize, usize), (i64, i64)> = HashMap::new();
-    for o in dataset.object_ids() {
-        let observations = dataset.observations_for_object(o);
-        for (a_idx, &(sa, va)) in observations.iter().enumerate() {
-            for &(sb, vb) in observations.iter().skip(a_idx + 1) {
-                let key = if sa.index() < sb.index() {
-                    (sa.index(), sb.index())
-                } else {
-                    (sb.index(), sa.index())
-                };
-                let entry = counts.entry(key).or_insert((0, 0));
-                if va == vb {
-                    entry.0 += 1;
-                } else {
-                    entry.0 -= 1;
+    let mut matrix = AgreementMatrix::new(n);
+    // One row `i` at a time: per source `j > i`, the objects both claim and how many of
+    // those claims agree, counted in dense scratch rows. The counts are integers, so the
+    // visiting order cannot change the result.
+    let mut shared = vec![0u32; n];
+    let mut agreed = vec![0u32; n];
+    let mut touched = Vec::new();
+    for si in dataset.source_ids() {
+        let i = si.index();
+        for &(o, vi) in dataset.observations_by_source(si) {
+            for &(sj, vj) in dataset.observations_for_object(o) {
+                let j = sj.index();
+                if j > i {
+                    if shared[j] == 0 {
+                        touched.push(j);
+                    }
+                    shared[j] += 1;
+                    agreed[j] += u32::from(vi == vj);
                 }
-                entry.1 += 1;
             }
         }
-    }
-    let mut matrix = AgreementMatrix::new(n);
-    for ((i, j), (signed, total)) in counts {
-        if total > 0 {
-            matrix.set(i, j, signed as f64 / total as f64);
+        for j in touched.drain(..) {
+            let signed = 2 * i64::from(agreed[j]) - i64::from(shared[j]);
+            matrix.set(i, j, signed as f64 / f64::from(shared[j]));
+            shared[j] = 0;
+            agreed[j] = 0;
         }
     }
     matrix
@@ -330,6 +330,32 @@ mod tests {
         assert_eq!(m.get(0, 1), Some(1.0));
         assert_eq!(m.get(0, 2), Some(-1.0));
         assert_eq!(m.get(1, 2), Some(-1.0));
+    }
+
+    #[test]
+    fn agreement_matrix_matches_a_pair_by_pair_reference() {
+        let inst = slimfast_datagen::DatasetKind::Demonstrations.generate(5);
+        let d = &inst.dataset;
+        let mut reference: std::collections::HashMap<(usize, usize), (i64, i64)> =
+            std::collections::HashMap::new();
+        for o in d.object_ids() {
+            let observations = d.observations_for_object(o);
+            for (a, &(sa, va)) in observations.iter().enumerate() {
+                for &(sb, vb) in &observations[a + 1..] {
+                    let key = (sa.index().min(sb.index()), sa.index().max(sb.index()));
+                    let entry = reference.entry(key).or_default();
+                    entry.0 += if va == vb { 1 } else { -1 };
+                    entry.1 += 1;
+                }
+            }
+        }
+        let m = agreement_matrix(d);
+        assert_eq!(m.num_observed(), reference.len());
+        for ((i, j), (signed, total)) in reference {
+            let expected = signed as f64 / total as f64;
+            assert_eq!(m.get(i, j).map(f64::to_bits), Some(expected.to_bits()));
+            assert_eq!(m.get(j, i).map(f64::to_bits), Some(expected.to_bits()));
+        }
     }
 
     #[test]

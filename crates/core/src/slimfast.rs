@@ -10,10 +10,10 @@ use slimfast_data::{
 
 use crate::compile::CompiledProblem;
 use crate::config::{LearnerChoice, SlimFastConfig};
-use crate::em::train_em_compiled;
+use crate::em::train_em_from_estimate;
 use crate::erm::train_erm_compiled;
 use crate::model::SlimFastModel;
-use crate::optimizer::{decide, OptimizerDecision, OptimizerReport};
+use crate::optimizer::{decide, estimate_average_accuracy, OptimizerDecision, OptimizerReport};
 
 /// The SLiMFast data-fusion method.
 ///
@@ -81,17 +81,25 @@ impl SlimFast {
     /// returns the fitted model together with the algorithm that was used.
     ///
     /// The instance is compiled into a [`CompiledProblem`] exactly once per call; both
-    /// learners (and EM's ERM warm start) run over the same compiled arrays.
+    /// learners (and EM's ERM warm start) run over the same compiled arrays. Likewise the
+    /// pairwise agreement matrix is built at most once: when the optimizer picks EM, its
+    /// average-accuracy estimate becomes EM's symmetry-breaking prior.
     pub fn train(&self, input: &FusionInput<'_>) -> (SlimFastModel, OptimizerDecision) {
-        let decision = match self.config.learner {
-            LearnerChoice::Erm => OptimizerDecision::Erm,
-            LearnerChoice::Em => OptimizerDecision::Em,
-            LearnerChoice::Auto => self.plan(input).decision,
+        let (decision, estimate) = match self.config.learner {
+            LearnerChoice::Erm => (OptimizerDecision::Erm, None),
+            LearnerChoice::Em => (OptimizerDecision::Em, None),
+            LearnerChoice::Auto => {
+                let report = self.plan(input);
+                (report.decision, Some(report.estimated_avg_accuracy))
+            }
         };
         let problem = CompiledProblem::compile(input.dataset, input.features, input.train_truth);
         let model = match decision {
             OptimizerDecision::Erm => train_erm_compiled(&problem, &self.config),
-            OptimizerDecision::Em => train_em_compiled(&problem, input.dataset, &self.config).0,
+            OptimizerDecision::Em => {
+                let estimate = estimate.unwrap_or_else(|| estimate_average_accuracy(input.dataset));
+                train_em_from_estimate(&problem, estimate, &self.config).0
+            }
         };
         (model, decision)
     }

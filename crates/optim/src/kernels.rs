@@ -1,7 +1,7 @@
 //! Batched, bitwise-deterministic math kernels over flat slices.
 //!
 //! Every hot inner loop in the workspace — the EM E-step posterior pass, the
-//! M-step gradient chunks, and batched posterior serving — bottoms out in one
+//! ERM gradient chunks, and batched posterior serving — bottoms out in one
 //! of four operations: sigmoid over a slice of scores, softmax over
 //! CSR-segmented rows, a sparse-dense dot product, and a scaled sparse scatter
 //! into a dense accumulator. This module provides those operations over flat

@@ -19,7 +19,7 @@
 //!   hot loop bottoms out here.
 //! * [`sgd`] — a small SGD/AdaGrad engine over user-supplied stochastic objectives.
 //! * [`logistic`] — binary and conditional (multiclass, shared-weight) logistic regression
-//!   with hard or fractional targets; the fractional form is what EM's M-step needs.
+//!   with hard or fractional targets.
 //! * [`lasso`] — the lasso path (Section 5.3.1, Figures 6 and 9).
 //! * [`matrix`] — rank-one matrix completion used by the optimizer to estimate the average
 //!   source accuracy from the pairwise agreement matrix (Section 4.3).

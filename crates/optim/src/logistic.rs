@@ -275,7 +275,7 @@ impl BinaryLogisticRegression {
 pub enum Target {
     /// The index of the correct class.
     Hard(usize),
-    /// A distribution over classes (used by EM's M-step with posterior targets).
+    /// A distribution over classes (posterior targets).
     Soft(Vec<f64>),
 }
 

@@ -81,6 +81,16 @@ impl Penalty {
             _ => 0.0,
         }
     }
+
+    /// The `L2` strength, if any. EM's exact M-step regularizes with this part alone and
+    /// ignores an `L1` part: the Newton solve needs a smooth objective.
+    pub fn l2_strength(&self) -> f64 {
+        match *self {
+            Penalty::L2(lambda) => lambda,
+            Penalty::ElasticNet { l2, .. } => l2,
+            _ => 0.0,
+        }
+    }
 }
 
 #[cfg(test)]
@@ -120,5 +130,13 @@ mod tests {
         assert_eq!(Penalty::ElasticNet { l1: 0.2, l2: 0.1 }.l1_strength(), 0.2);
         assert_eq!(Penalty::L2(0.3).l1_strength(), 0.0);
         assert_eq!(Penalty::None.l1_strength(), 0.0);
+    }
+
+    #[test]
+    fn l2_strength_is_extracted() {
+        assert_eq!(Penalty::L2(0.3).l2_strength(), 0.3);
+        assert_eq!(Penalty::ElasticNet { l1: 0.2, l2: 0.1 }.l2_strength(), 0.1);
+        assert_eq!(Penalty::L1(0.3).l2_strength(), 0.0);
+        assert_eq!(Penalty::None.l2_strength(), 0.0);
     }
 }

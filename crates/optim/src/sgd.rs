@@ -31,18 +31,6 @@ pub trait StochasticObjective: Sync {
     /// into `grad`. `grad` is cleared by the caller before each invocation.
     fn example_loss_grad(&self, w: &[f64], example: usize, grad: &mut SparseVec) -> f64;
 
-    /// Hook invoked by the batched minimizer exactly once per mini-batch, on the
-    /// coordinator thread, **before** any of the batch's gradient chunks run, with the
-    /// weights every chunk of that batch will be evaluated at and the full (shuffled)
-    /// example list of the batch.
-    ///
-    /// Objectives that can hoist per-batch work out of the per-example loop — SLiMFast's
-    /// claim-correctness objective precomputes the trust probability and log terms of
-    /// every source *appearing in the batch*, turning per-claim dot+sigmoid+log work
-    /// into a table gather — refresh their caches in this hook. The default does
-    /// nothing. The sequential (per-example) minimizer path never calls it.
-    fn begin_batch(&self, _w: &[f64], _examples: &[usize]) {}
-
     /// Computes the summed loss of the listed `examples` at `w` and appends their sparse
     /// gradient entries to `entries` in example order (duplicate coordinates allowed —
     /// the batch reducer merges them deterministically, in push order).
@@ -51,10 +39,7 @@ pub trait StochasticObjective: Sync {
     /// default implementation loops [`example_loss_grad`](Self::example_loss_grad) over
     /// a thread-local scratch vector, which reproduces the historical per-example chunk
     /// behaviour bit for bit. Objectives with a flat structure-of-arrays layout override
-    /// it to batch the math through [`crate::kernels`]. Implementations may rely on
-    /// state prepared by [`begin_batch`](Self::begin_batch): the batched minimizer
-    /// guarantees `begin_batch(w)` ran, with these exact weights, before any chunk of
-    /// the batch — direct callers must uphold the same order.
+    /// it to batch the math through [`crate::kernels`].
     fn chunk_loss_grad(
         &self,
         w: &[f64],
@@ -335,9 +320,8 @@ thread_local! {
 }
 
 /// Process-wide freelist of chunk-partial arenas. One arena is checked out per batched
-/// `minimize` call and returned on exit (including unwinds), so consecutive fits — EM
-/// runs one `minimize` per M-step — reuse the same chunk buffers instead of
-/// reallocating them every iteration.
+/// `minimize` call and returned on exit (including unwinds), so consecutive fits reuse
+/// the same chunk buffers instead of reallocating them every time.
 static FREE_SCRATCH: Mutex<Vec<Vec<Mutex<ChunkPartial>>>> = Mutex::new(Vec::new());
 
 /// A checked-out chunk-partial arena; returns itself to [`FREE_SCRATCH`] on drop.
@@ -431,9 +415,6 @@ fn minimize_batched<O: StochasticObjective>(
         while start < n_examples {
             let end = (start + batch_size).min(n_examples);
             let num_chunks = (end - start).div_ceil(GRAD_CHUNK);
-            // Per-batch precomputation hook, on the coordinator before the fan-out so
-            // every chunk of the batch observes the same prepared state.
-            objective.begin_batch(&weights, &order[start..end]);
             {
                 // Accumulate the chunks of this batch: chunk `c` covers the fixed
                 // example window `start + c*GRAD_CHUNK ..` of the shuffled order and

@@ -76,9 +76,7 @@ fn em_fusion_is_deterministic() {
 }
 
 /// The thread count changes wall-clock time, never results: a fitted model's posteriors
-/// are bitwise-identical whether the sharded E-step and batched SGD run on one worker or
-/// four. The instance is large enough (≥ 4 × batch_size claims) that the parallel
-/// minibatch path actually engages.
+/// are bitwise-identical whether the sharded E-step runs on one worker or four.
 #[test]
 fn fitted_posteriors_are_bitwise_identical_across_thread_counts() {
     let instance = SyntheticConfig {
@@ -100,10 +98,6 @@ fn fitted_posteriors_are_bitwise_identical_across_thread_counts() {
         seed: 7,
     }
     .generate();
-    assert!(
-        instance.dataset.num_observations() >= 4 * SlimFastConfig::default().batch_size,
-        "instance must be large enough to engage the batched parallel minimizer"
-    );
     let truth = GroundTruth::empty(instance.dataset.num_objects());
     let input = FusionInput::new(&instance.dataset, &instance.features, &truth);
 

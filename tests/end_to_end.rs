@@ -10,7 +10,6 @@ fn fast_config() -> SlimFastConfig {
         erm_epochs: 30,
         em: slimfast::core::config::EmConfig {
             max_iterations: 8,
-            m_step_epochs: 5,
             ..Default::default()
         },
         ..Default::default()

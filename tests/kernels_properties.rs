@@ -174,7 +174,7 @@ proptest! {
     }
 }
 
-/// A fit large enough to engage the batched parallel minimizer and the chunked E-step.
+/// A fit large enough to engage the chunked E-step.
 fn fit_instance() -> SyntheticInstance {
     SyntheticConfig {
         name: "kernel-determinism".into(),
@@ -199,15 +199,11 @@ fn fit_instance() -> SyntheticInstance {
 
 /// The end-to-end contract the kernel layer must preserve: a full EM fit through the
 /// flat-layout hot paths (batched trust sigmoid, segmented softmax E-step, CSR dot
-/// M-step, kernel-softmax serving) yields bitwise-identical weights and posteriors at
-/// 1, 2, and 4 threads.
+/// Newton M-step, kernel-softmax serving) yields bitwise-identical weights and
+/// posteriors at 1, 2, and 4 threads.
 #[test]
 fn full_fit_through_kernel_paths_is_bitwise_identical_across_threads() {
     let instance = fit_instance();
-    assert!(
-        instance.dataset.num_observations() >= 4 * SlimFastConfig::default().batch_size,
-        "instance must be large enough to engage the batched parallel minimizer"
-    );
     let truth = GroundTruth::empty(instance.dataset.num_objects());
     let input = FusionInput::new(&instance.dataset, &instance.features, &truth);
 

@@ -38,7 +38,6 @@ fn fit_weight_bits(instance: &SyntheticInstance, threads: usize) -> Vec<u64> {
     let config = SlimFastConfig {
         em: EmConfig {
             max_iterations: 3,
-            m_step_epochs: 2,
             ..Default::default()
         },
         ..SlimFastConfig::default()

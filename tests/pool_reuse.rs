@@ -2,11 +2,11 @@
 //! fit and never lets reuse (or lane count) leak into results.
 //!
 //! The instance is sized so the pool-engagement conditions genuinely hold (asserted
-//! below): the E-step grid spans several object chunks above the inline item threshold,
-//! and the auto-tuned SGD batch splits into at least `2 × 2` gradient chunks — so on
-//! any multi-core machine these fits actually publish pool jobs. (On a single-core
-//! machine the lane clamp collapses them to inline execution by design; the in-crate
-//! pool unit tests cover multi-worker scheduling there by bypassing the clamp.)
+//! below): the E-step grid spans several object chunks above the inline item
+//! threshold — so on any multi-core machine these fits actually publish pool jobs. (On
+//! a single-core machine the lane clamp collapses them to inline execution by design;
+//! the in-crate pool unit tests cover multi-worker scheduling there by bypassing the
+//! clamp.)
 //!
 //! The companion `SLIMFAST_THREADS`-mutation test lives alone in `pool_env.rs`:
 //! mutating the process environment from a multi-threaded libtest binary is a data
@@ -14,12 +14,10 @@
 
 use slimfast::core::config::EmConfig;
 use slimfast::core::exec;
-use slimfast::optim::auto_batch_size;
 use slimfast::prelude::*;
 
 /// Large enough that the sharded E-step crosses `INLINE_MIN_ITEMS` with several object
-/// chunks and the auto-tuned batch has a chunk grid worth fanning out; small enough for
-/// a debug-mode test (EM is capped at 3 iterations below).
+/// chunks; small enough for a debug-mode test (EM is capped at 3 iterations below).
 fn instance() -> SyntheticInstance {
     SyntheticConfig {
         name: "pool-reuse".into(),
@@ -46,7 +44,6 @@ fn config(threads: usize) -> SlimFastConfig {
     SlimFastConfig {
         em: EmConfig {
             max_iterations: 3,
-            m_step_epochs: 2,
             ..Default::default()
         },
         ..SlimFastConfig::default()
@@ -58,7 +55,6 @@ fn config(threads: usize) -> SlimFastConfig {
 /// Fails loudly if future tuning changes shrink this instance below the thresholds at
 /// which multi-lane machines actually route these fits through the pool.
 fn assert_pool_engages(instance: &SyntheticInstance) {
-    let claims = instance.dataset.num_observations();
     let posterior_slots = 2 * instance.dataset.num_objects();
     assert!(
         posterior_slots >= exec::INLINE_MIN_ITEMS,
@@ -67,12 +63,6 @@ fn assert_pool_engages(instance: &SyntheticInstance) {
     assert!(
         instance.dataset.num_objects() > 1024,
         "E-step grid is a single object chunk"
-    );
-    let chunks = auto_batch_size(claims).div_ceil(32);
-    assert!(
-        chunks >= 4,
-        "auto batch of {claims} claims yields only {chunks} gradient chunks — \
-         batches run inline even at 2 lanes"
     );
 }
 
@@ -83,8 +73,7 @@ fn fit_weight_bits(instance: &SyntheticInstance, threads: usize) -> Vec<u64> {
     model.weights().iter().map(|w| w.to_bits()).collect()
 }
 
-/// Consecutive fits share one process-wide pool (and the SGD scratch freelist);
-/// interleaving thread counts across fits must leave every fit bitwise-identical.
+/// Consecutive fits share one process-wide pool; interleaving thread counts across fits must leave every fit bitwise-identical.
 #[test]
 fn pool_reuse_across_consecutive_fits_is_bitwise_deterministic() {
     let inst = instance();
