@@ -147,8 +147,8 @@ fn single_lane() -> bool {
     exec::max_lanes() == 1
 }
 
-/// Prints the loud single-lane warning shared by the honesty checks of the scaling,
-/// ingest, and serving benches (each bench binary carries its own copy).
+/// Prints the loud single-lane warning shared by the honesty checks of the scaling
+/// and serving benches (each bench binary carries its own copy).
 fn warn_if_single_lane(bench: &str) {
     if single_lane() {
         eprintln!(

@@ -40,7 +40,7 @@ use slimfast_core::{
     FusionEngine, RefitPolicy, ServingEngine, ServingReader, SlimFast, SlimFastConfig,
 };
 use slimfast_data::{
-    build_claims_sharded, FeatureMatrix, GroundTruth, NamedObservation, ObjectId, ValueId,
+    build_claims, FeatureMatrix, GroundTruth, NamedObservation, ObjectId, ValueId,
 };
 
 /// Sources shared across the whole stream; every object draws 10 of them.
@@ -121,7 +121,7 @@ struct FitReport {
 
 fn build_serving(total: usize) -> (ServingEngine, FitReport) {
     let claims = generate_claims(total);
-    let dataset = build_claims_sharded(&claims, 4).expect("generator stream is conflict-free");
+    let dataset = build_claims(&claims).expect("generator stream is conflict-free");
     let features = FeatureMatrix::empty(dataset.num_sources());
     let mut truth = GroundTruth::empty(dataset.num_objects());
     for i in (0..dataset.num_objects()).step_by(9) {
@@ -439,8 +439,8 @@ fn single_lane() -> bool {
     max_lanes() == 1
 }
 
-/// Prints the loud single-lane warning shared by the honesty checks of the scaling,
-/// ingest, and serving benches (each bench binary carries its own copy).
+/// Prints the loud single-lane warning shared by the honesty checks of the scaling
+/// and serving benches (each bench binary carries its own copy).
 fn warn_if_single_lane(bench: &str) {
     if single_lane() {
         eprintln!(

@@ -714,6 +714,10 @@ pub struct ServingEngine {
     claims_since_publish: usize,
     /// Refit-failure bookkeeping behind [`ServingEngine::health`].
     supervision: Supervision,
+    /// Test hook: the next dispatched refit waits to train until the sender paired
+    /// with this receiver sends or is dropped, so a test can hold it in flight.
+    #[cfg(test)]
+    refit_latch: Option<std::sync::mpsc::Receiver<()>>,
 }
 
 impl ServingEngine {
@@ -735,6 +739,8 @@ impl ServingEngine {
             publish_every: Self::DEFAULT_PUBLISH_EVERY,
             claims_since_publish: 0,
             supervision: Supervision::new(RetryPolicy::default()),
+            #[cfg(test)]
+            refit_latch: None,
         }
     }
 
@@ -782,6 +788,8 @@ impl ServingEngine {
             publish_every: Self::DEFAULT_PUBLISH_EVERY,
             claims_since_publish: 0,
             supervision: Supervision::new(RetryPolicy::default()),
+            #[cfg(test)]
+            refit_latch: None,
         }
     }
 
@@ -1027,7 +1035,13 @@ impl ServingEngine {
         let covered = snapshot.claims_since_fit();
         let result = Arc::new(Mutex::new(None));
         let slot = Arc::clone(&result);
+        #[cfg(test)]
+        let latch = self.refit_latch.take();
         let handle = WorkerPool::global().spawn(move || {
+            #[cfg(test)]
+            if let Some(latch) = latch {
+                let _ = latch.recv();
+            }
             let trained = snapshot.try_train();
             *lock_ignore_poison(&slot) = Some(trained);
         });
@@ -1243,9 +1257,14 @@ mod tests {
         a.ingest(&claims(0, 40)).unwrap();
         b.ingest(&claims(0, 40)).unwrap();
 
+        // A refit of this fixture trains in about a millisecond, so hold it in flight
+        // until the refusal is asserted; otherwise it may finish first and be resolved.
+        let (release, latch) = std::sync::mpsc::channel::<()>();
+        a.refit_latch = Some(latch);
         assert!(a.refit_background());
         // A second dispatch is refused while one is in flight.
         assert!(!a.refit_background());
+        drop(release);
         assert!(a.drain());
         b.refit_now();
 

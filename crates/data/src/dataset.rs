@@ -18,25 +18,29 @@
 //! is bitwise-identical to rebuilding from scratch from the same live claims because
 //! both paths run the same indexing routine over the same log.
 
+use std::cell::Cell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::DataError;
 use crate::ids::{Interner, ObjectId, SourceId, ValueId};
 use crate::observation::Observation;
 
-/// Process-wide count of full CSR indexing passes ([`DatasetBuilder::build`] and
-/// [`Dataset::compact`]). Diagnostics only: serving-path tests snapshot it to assert
-/// that per-claim ingest never pays an O(dataset) re-index.
-static FULL_INDEX_PASSES: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Full CSR indexing passes ([`DatasetBuilder::build`] and [`Dataset::compact`])
+    /// run on this thread. Diagnostics only: serving-path tests snapshot it to assert
+    /// that per-claim ingest never pays an O(dataset) re-index.
+    static FULL_INDEX_PASSES: Cell<u64> = const { Cell::new(0) };
+}
 
-/// Number of full CSR indexing passes this process has run (every
+/// Number of full CSR indexing passes the calling thread has run (every
 /// [`DatasetBuilder::build`] and every non-trivial [`Dataset::compact`]).
 ///
 /// Intended for tests and benchmarks that assert incremental ingest stays off the
-/// O(dataset) rebuild path; the counter is global and monotone.
+/// O(dataset) rebuild path. An indexing pass runs entirely on the thread that calls
+/// it, so the count is per thread: builds on other threads (a test harness running
+/// tests in parallel, a pool worker) never move it. It is monotone.
 pub fn full_index_passes() -> u64 {
-    FULL_INDEX_PASSES.load(Ordering::Relaxed)
+    FULL_INDEX_PASSES.with(Cell::get)
 }
 
 /// An indexed fusion instance: the observation set `Ω` together with the per-object and
@@ -219,44 +223,21 @@ struct CsrIndex {
     domain_offsets: Vec<u32>,
 }
 
-/// Sorts every CSR row in place. Rows are independent, so with `threads > 1` they are
-/// sharded over fixed row chunks; the per-row result is identical either way.
-fn sort_csr_rows<T: Ord + Send>(entries: &mut [T], offsets: &[u32], threads: usize) {
-    /// Fixed rows per part: data-dependent grid, never derived from the lane count.
-    const ROWS_PER_PART: usize = 4096;
-    let rows = offsets.len() - 1;
-    if threads <= 1 || rows <= ROWS_PER_PART {
-        for i in 0..rows {
-            entries[csr_range(offsets, i)].sort_unstable();
-        }
-        return;
+/// Sorts every CSR row in place.
+fn sort_csr_rows<T: Ord>(entries: &mut [T], offsets: &[u32]) {
+    for i in 0..offsets.len() - 1 {
+        entries[csr_range(offsets, i)].sort_unstable();
     }
-    let parts = rows.div_ceil(ROWS_PER_PART);
-    let mut boundaries = Vec::with_capacity(parts + 1);
-    for part in 0..=parts {
-        boundaries.push(offsets[(part * ROWS_PER_PART).min(rows)] as usize);
-    }
-    slimfast_optim::exec::for_each_slice_mut(entries, &boundaries, threads, |part, slice| {
-        let first = part * ROWS_PER_PART;
-        let last = ((part + 1) * ROWS_PER_PART).min(rows);
-        let base = offsets[first] as usize;
-        for i in first..last {
-            let row = offsets[i] as usize - base..offsets[i + 1] as usize - base;
-            slice[row].sort_unstable();
-        }
-    });
 }
 
 /// One full indexing pass: two counting sorts (count, prefix-sum, scatter) plus a
 /// per-row sort, all over flat arrays — `O(|Ω| log d)` where `d` is the largest row.
-/// Deterministic at any `threads` value (threads only shard the independent row sorts).
 fn index_observations(
     observations: &[Observation],
     num_sources: usize,
     num_objects: usize,
-    threads: usize,
 ) -> CsrIndex {
-    FULL_INDEX_PASSES.fetch_add(1, Ordering::Relaxed);
+    FULL_INDEX_PASSES.with(|passes| passes.set(passes.get() + 1));
     let num_obs = observations.len();
     assert!(
         num_obs <= u32::MAX as usize,
@@ -293,8 +274,8 @@ fn index_observations(
     }
     // Sort each row: (source, object) pairs are unique, so rows end up keyed by
     // their first component, enabling binary-search lookups.
-    sort_csr_rows(&mut object_entries, &by_object_offsets, threads);
-    sort_csr_rows(&mut by_source, &by_source_offsets, threads);
+    sort_csr_rows(&mut object_entries, &by_object_offsets);
+    sort_csr_rows(&mut by_source, &by_source_offsets);
     let mut by_object = Vec::with_capacity(num_obs);
     let mut by_object_seq = Vec::with_capacity(num_obs);
     for &(s, v, seq) in &object_entries {
@@ -799,7 +780,7 @@ impl Dataset {
             self.observations = kept;
             self.num_dead = 0;
         }
-        let index = index_observations(&self.observations, self.num_sources, self.num_objects, 1);
+        let index = index_observations(&self.observations, self.num_sources, self.num_objects);
         self.install_index(index);
         self.live = None;
         self.delta = DeltaLog::default();
@@ -1205,73 +1186,15 @@ impl DatasetBuilder {
         self.observations.is_empty()
     }
 
-    /// Merges a shard-local builder into this one, re-interning the shard's names in
-    /// shard-local first-seen order and replaying its observation log.
-    ///
-    /// Because a name's global first appearance is in the earliest shard that saw it
-    /// (at that shard's earliest position), processing shards in order reproduces
-    /// exactly the handle assignment a single sequential builder would have produced —
-    /// the key to deterministic sharded ingest. The shard must have been populated
-    /// through the named [`DatasetBuilder::observe`] path so every handle resolves in
-    /// its local interners.
-    ///
-    /// Cross-shard duplicates are deduplicated here, and a cross-shard conflict is
-    /// reported as [`DataError::ConflictingObservation`] with merged-space handles,
-    /// just as sequential ingest would report it.
-    pub(crate) fn merge_from(&mut self, shard: &DatasetBuilder) -> Result<(), DataError> {
-        debug_assert!(
-            shard
-                .observations
-                .iter()
-                .all(|o| o.source.index() < shard.sources.len()
-                    && o.object.index() < shard.objects.len()
-                    && o.value.index() < shard.values.len()),
-            "shard builders must be fully named for merging"
-        );
-        let source_map: Vec<SourceId> = shard
-            .sources
-            .iter()
-            .map(|(_, name)| self.sources.intern(name))
-            .collect();
-        let object_map: Vec<ObjectId> = shard
-            .objects
-            .iter()
-            .map(|(_, name)| self.objects.intern(name))
-            .collect();
-        let value_map: Vec<ValueId> = shard
-            .values
-            .iter()
-            .map(|(_, name)| self.values.intern(name))
-            .collect();
-        self.num_sources = self.num_sources.max(self.sources.len());
-        self.num_objects = self.num_objects.max(self.objects.len());
-        self.num_values = self.num_values.max(self.values.len());
-        for obs in &shard.observations {
-            self.observe_ids(
-                source_map[obs.source.index()],
-                object_map[obs.object.index()],
-                value_map[obs.value.index()],
-            )?;
-        }
-        Ok(())
-    }
-
     /// Finalizes the builder into an immutable, indexed [`Dataset`].
     ///
     /// Indexing is two counting-sort passes (count, prefix-sum, scatter) followed by a
     /// per-row sort, all over flat arrays — `O(|Ω| log d)` where `d` is the largest row.
     pub fn build(self) -> Dataset {
-        self.build_with_threads(1)
-    }
-
-    /// Like [`DatasetBuilder::build`], sharding the independent per-row sorts over up
-    /// to `threads` workers. The result is bitwise-identical at any thread count (the
-    /// row grid is data-dependent, never derived from the lane count).
-    pub fn build_with_threads(self, threads: usize) -> Dataset {
         let num_sources = self.num_sources.max(self.sources.len());
         let num_objects = self.num_objects.max(self.objects.len());
         let num_values = self.num_values.max(self.values.len());
-        let index = index_observations(&self.observations, num_sources, num_objects, threads);
+        let index = index_observations(&self.observations, num_sources, num_objects);
         Dataset {
             observations: self.observations,
             live: None,
@@ -1527,6 +1450,22 @@ mod tests {
     }
 
     #[test]
+    fn index_passes_are_counted_per_thread() {
+        let before = full_index_passes();
+        let elsewhere = std::thread::spawn(|| {
+            let before = full_index_passes();
+            toy();
+            full_index_passes() - before
+        })
+        .join()
+        .unwrap();
+        assert_eq!(elsewhere, 1);
+        assert_eq!(full_index_passes(), before);
+        toy();
+        assert_eq!(full_index_passes(), before + 1);
+    }
+
+    #[test]
     fn evictions_tombstone_and_update_rows() {
         let mut d = toy();
         let s0 = d.source_id("s0").unwrap();
@@ -1639,24 +1578,5 @@ mod tests {
         assert_eq!(stats.pending_appends, 0);
         assert_eq!(stats.delta_bytes, 0);
         assert_eq!(stats.compactions, 1);
-    }
-
-    #[test]
-    fn parallel_build_is_identical_to_sequential() {
-        let mut claims = Vec::new();
-        for i in 0..3000usize {
-            claims.push((i % 37, i % 211, i % 5));
-        }
-        let build = |threads: usize| {
-            let mut b = DatasetBuilder::with_capacity(claims.len());
-            for &(s, o, v) in &claims {
-                let _ = b.observe(&format!("s{s}"), &format!("o{o}"), &format!("v{v}"));
-            }
-            b.build_with_threads(threads)
-        };
-        let one = build(1);
-        for threads in [2, 4, 8] {
-            assert!(one.same_content(&build(threads)), "threads = {threads}");
-        }
     }
 }

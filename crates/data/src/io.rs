@@ -12,6 +12,7 @@ use crate::dataset::{Dataset, DatasetBuilder};
 use crate::error::DataError;
 use crate::faults;
 use crate::features::{FeatureMatrix, FeatureMatrixBuilder};
+use crate::observation::NamedObservation;
 use crate::truth::GroundTruth;
 
 /// Writes `bytes` to `path` atomically: the data goes to a temp file in the same
@@ -91,9 +92,8 @@ fn for_each_csv_line<R: Read>(
 
 /// Splits one non-comment observation line into its `(source, object, value)` fields,
 /// or `None` when the line does not have exactly three comma-separated fields. Shared
-/// by the sequential reader and the sharded reader in [`crate::ingest`] so both parse
-/// identically.
-pub(crate) fn parse_claim_fields(trimmed: &str) -> Option<(&str, &str, &str)> {
+/// by the strict and the lenient reader so both parse identically.
+fn parse_claim_fields(trimmed: &str) -> Option<(&str, &str, &str)> {
     let mut parts = trimmed.split(',');
     match (parts.next(), parts.next(), parts.next(), parts.next()) {
         (Some(s), Some(o), Some(v), None) => Some((s.trim(), o.trim(), v.trim())),
@@ -115,6 +115,26 @@ pub fn read_observations_csv<R: Read>(reader: R) -> Result<Dataset, DataError> {
         builder.observe(source, object, value)?;
         Ok(())
     })?;
+    Ok(builder.build())
+}
+
+/// Reads observations from `source,object,value` CSV bytes; `threads` is ignored.
+///
+/// A delegate to [`read_observations_csv`], kept because the end-to-end benchmark in
+/// `perfbench/` calls this signature. New code should call [`read_observations_csv`].
+pub fn read_observations_csv_sharded(bytes: &[u8], _threads: usize) -> Result<Dataset, DataError> {
+    read_observations_csv(bytes)
+}
+
+/// Builds a dataset from named claims in stream order: the in-memory counterpart of
+/// [`read_observations_csv`]. Names get handles in order of first appearance, exact
+/// duplicates are ignored, and a source asserting two different values for the same
+/// object fails with [`DataError::ConflictingObservation`].
+pub fn build_claims(claims: &[NamedObservation]) -> Result<Dataset, DataError> {
+    let mut builder = DatasetBuilder::with_capacity(claims.len());
+    for claim in claims {
+        builder.observe(&claim.source, &claim.object, &claim.value)?;
+    }
     Ok(builder.build())
 }
 
@@ -336,6 +356,46 @@ mod tests {
             ),
             reparsed.value_id("true")
         );
+    }
+
+    #[test]
+    fn empty_input_builds_an_empty_dataset() {
+        let d = read_observations_csv(&b""[..]).unwrap();
+        assert_eq!(d.num_observations(), 0);
+        let d = build_claims(&[]).unwrap();
+        assert_eq!(d.num_observations(), 0);
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_io_error() {
+        let input = b"a,o1,v1\nb,o\xff,v1\n";
+        let err = read_observations_csv(&input[..]).unwrap_err();
+        assert!(matches!(err, DataError::Io(_)), "unexpected error {err:?}");
+        let err = read_observations_csv_lenient(&input[..], 4).unwrap_err();
+        assert!(matches!(err, DataError::Io(_)), "unexpected error {err:?}");
+    }
+
+    #[test]
+    fn build_claims_matches_the_csv_reader() {
+        let mut claims: Vec<NamedObservation> = (0..300usize)
+            .map(|i| {
+                NamedObservation::new(
+                    format!("s{}", i % 13),
+                    format!("o{}", i % 41),
+                    format!("v{}", i % 3),
+                )
+            })
+            .collect();
+        let csv: String = claims
+            .iter()
+            .map(|c| format!("{},{},{}\n", c.source, c.object, c.value))
+            .collect();
+        let from_csv = read_observations_csv(csv.as_bytes()).unwrap();
+        assert!(from_csv.same_content(&build_claims(&claims).unwrap()));
+        // A conflicting claim fails the whole build.
+        claims.push(NamedObservation::new("s0", "o0", "v-clash"));
+        let err = build_claims(&claims).unwrap_err();
+        assert!(matches!(err, DataError::ConflictingObservation { .. }));
     }
 
     #[test]

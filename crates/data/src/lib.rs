@@ -52,7 +52,6 @@ pub mod features;
 pub mod format;
 pub mod fusion;
 pub mod ids;
-pub mod ingest;
 pub mod io;
 pub mod observation;
 pub mod snapshot;
@@ -67,11 +66,10 @@ pub use faults::{FaultKind, FaultPlan, FaultScope};
 pub use features::{FeatureMatrix, FeatureMatrixBuilder, FeatureValue};
 pub use fusion::{FusionInput, FusionMethod, FusionOutput};
 pub use ids::{FeatureId, Interner, ObjectId, SourceId, ValueId};
-pub use ingest::{build_claims_sharded, read_observations_csv_sharded};
 pub use io::{
-    atomic_write, read_features_csv, read_ground_truth_csv, read_observations_csv,
-    read_observations_csv_lenient, write_ground_truth_csv, write_observations_csv, IngestReport,
-    RejectedRow,
+    atomic_write, build_claims, read_features_csv, read_ground_truth_csv, read_observations_csv,
+    read_observations_csv_lenient, read_observations_csv_sharded, write_ground_truth_csv,
+    write_observations_csv, IngestReport, RejectedRow,
 };
 pub use observation::{NamedObservation, Observation};
 pub use snapshot::{

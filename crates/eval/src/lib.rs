@@ -12,7 +12,7 @@
 //! * [`lineup`] — the method line-ups of the evaluation (the seven methods of Table 2, the
 //!   probabilistic subset of Table 3, the SLiMFast variants of Table 4) and the
 //!   serving-path scenario lineup.
-//! * [`stream`] — the windowed-stream scenario: sharded bulk load, then sliding-window
+//! * [`stream`] — the windowed-stream scenario: bulk load, then sliding-window
 //!   fusion over a drifting claim stream through the incremental engine.
 //! * [`serving`] — the serving scenario: the same drifting stream driven through the
 //!   concurrent serving tier (epoch-swapped snapshots, background refits in flight,

@@ -78,7 +78,7 @@ pub fn slimfast_variants(config: &SlimFastConfig) -> Vec<MethodEntry> {
 
 /// An end-to-end scenario registered with the harness — unlike a [`MethodEntry`],
 /// which the table runner fits on static splits, a scenario drives the full serving
-/// stack (sharded ingest, incremental engine, windowing) and reports stream
+/// stack (bulk load, incremental engine, windowing) and reports stream
 /// bookkeeping instead of split metrics.
 pub struct ScenarioEntry {
     /// Display name of the scenario.
@@ -90,12 +90,12 @@ pub struct ScenarioEntry {
 }
 
 /// The serving-path scenarios evaluated next to the paper's tables. Currently the
-/// windowed-stream scenario: sharded bulk load, then sliding-window fusion over a
+/// windowed-stream scenario: bulk load, then sliding-window fusion over a
 /// drifting claim stream (see [`crate::stream`]).
 pub fn scenario_lineup() -> Vec<ScenarioEntry> {
     vec![ScenarioEntry {
         name: "windowed-stream",
-        description: "sharded load + sliding-window fusion over a drifting claim stream",
+        description: "bulk load + sliding-window fusion over a drifting claim stream",
         run: crate::stream::quick_windowed_stream,
     }]
 }

@@ -24,7 +24,7 @@
 use slimfast_core::{
     FusionEngine, HealthState, RefitPolicy, ServingEngine, SlimFast, SlimFastConfig, WindowConfig,
 };
-use slimfast_data::{build_claims_sharded, FeatureMatrix, GroundTruth, ObjectId};
+use slimfast_data::{build_claims, FeatureMatrix, GroundTruth, ObjectId};
 
 use crate::stream::{phase_claims, Lcg, StreamScenarioConfig};
 
@@ -123,19 +123,18 @@ impl ServingStreamReport {
     }
 }
 
-/// Runs the serving scenario: sharded bulk load and fit, then per-phase streaming
+/// Runs the serving scenario: bulk load and fit, then per-phase streaming
 /// through the serving tier with a background refit in flight per phase.
 pub fn run_serving_stream(config: &ServingScenarioConfig) -> ServingStreamReport {
     let stream = &config.stream;
     assert!(stream.phases >= 1, "need at least the initial phase");
     let mut rng = Lcg(stream.seed.wrapping_mul(2) | 1);
 
-    // Phase 0: bulk load through the sharded ingest pipeline and fit, exactly like the
-    // windowed-stream scenario — the serving tier wraps the same engine.
+    // Phase 0: bulk load and fit, exactly like the windowed-stream scenario — the
+    // serving tier wraps the same engine.
     let (initial_claims, initial_truths) = phase_claims(stream, 0, &mut rng);
     let initial_count = initial_claims.len();
-    let dataset = build_claims_sharded(&initial_claims, stream.slimfast.threads)
-        .expect("generated stream is conflict-free");
+    let dataset = build_claims(&initial_claims).expect("generated stream is conflict-free");
     let mut truth = GroundTruth::empty(dataset.num_objects());
     for (i, (object, value)) in initial_truths.iter().enumerate() {
         if i % stream.label_every.max(1) == 0 {

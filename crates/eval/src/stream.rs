@@ -2,15 +2,14 @@
 //!
 //! The table-style experiments in [`crate::runner`] evaluate batch fusion — fit once on
 //! a static instance. This module exercises the *serving* path end to end instead: an
-//! initial batch is loaded through the sharded ingest pipeline
-//! ([`slimfast_data::build_claims_sharded`]), a [`FusionEngine`] is fitted with a
-//! sliding [`WindowConfig`], and subsequent phases of claims stream in with drifting
-//! source accuracies — the sources that were reliable in even phases turn unreliable in
-//! odd phases, the workload motivated by sliding-window fusion (Lillis et al.) and the
-//! temporally drifting sources of the Dong et al. survey. The engine ages out claims
-//! past the horizon, compacts periodically, and refits per its policy; the report
-//! captures the stream bookkeeping (live claims, evictions, compactions, refits) plus
-//! the final model weights.
+//! initial batch is bulk-loaded ([`slimfast_data::build_claims`]), a [`FusionEngine`]
+//! is fitted with a sliding [`WindowConfig`], and subsequent phases of claims stream in
+//! with drifting source accuracies — the sources that were reliable in even phases turn
+//! unreliable in odd phases, the workload motivated by sliding-window fusion (Lillis et
+//! al.) and the temporally drifting sources of the Dong et al. survey. The engine ages
+//! out claims past the horizon, compacts periodically, and refits per its policy; the
+//! report captures the stream bookkeeping (live claims, evictions, compactions, refits)
+//! plus the final model weights.
 //!
 //! Everything is deterministic: claims come from a fixed linear congruential generator
 //! seeded by the scenario config, and the engine's training stack is bitwise-identical
@@ -18,7 +17,7 @@
 //! test matrix.
 
 use slimfast_core::{FusionEngine, RefitPolicy, SlimFast, SlimFastConfig, WindowConfig};
-use slimfast_data::{build_claims_sharded, FeatureMatrix, GroundTruth, NamedObservation};
+use slimfast_data::{build_claims, FeatureMatrix, GroundTruth, NamedObservation};
 
 /// Configuration of a windowed-stream run.
 #[derive(Debug, Clone)]
@@ -144,17 +143,16 @@ pub(crate) fn phase_claims(
     (claims, truths)
 }
 
-/// Runs the windowed-stream scenario: sharded initial load, windowed engine fit, then
+/// Runs the windowed-stream scenario: bulk initial load, windowed engine fit, then
 /// per-phase streaming with drifting source reliability.
 pub fn run_windowed_stream(config: &StreamScenarioConfig) -> WindowedStreamReport {
     assert!(config.phases >= 1, "need at least the initial phase");
     let mut rng = Lcg(config.seed.wrapping_mul(2) | 1);
 
-    // Phase 0: bulk load through the sharded ingest pipeline and fit.
+    // Phase 0: bulk load and fit.
     let (initial_claims, initial_truths) = phase_claims(config, 0, &mut rng);
     let initial_count = initial_claims.len();
-    let dataset = build_claims_sharded(&initial_claims, config.slimfast.threads)
-        .expect("generated stream is conflict-free");
+    let dataset = build_claims(&initial_claims).expect("generated stream is conflict-free");
     let mut truth = GroundTruth::empty(dataset.num_objects());
     for (i, (object, value)) in initial_truths.iter().enumerate() {
         if i % config.label_every.max(1) == 0 {

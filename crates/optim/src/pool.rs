@@ -13,8 +13,9 @@
 //! Published jobs land in a small FIFO queue instead of a single slot. Each job carries
 //! its own *lane reservation* (`max_helpers`): a woken worker scans the queue front to
 //! back and joins the first job that still has unclaimed tasks **and** a free helper
-//! slot, so two concurrent jobs — say a background model refit and a foreground sharded
-//! ingest — overlap on disjoint lanes instead of serializing behind one publish slot.
+//! slot, so two concurrent jobs — say a background model refit and a foreground batch of
+//! posterior queries — overlap on disjoint lanes instead of serializing behind one
+//! publish slot.
 //! Grid jobs are always driven by their submitting caller (which counts as a lane of its
 //! own job and never waits on another job's lanes), so the queue cannot deadlock: every
 //! job drains even if all workers are busy elsewhere.

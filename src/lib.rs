@@ -108,10 +108,10 @@ pub mod prelude {
         MODEL_FORMAT_VERSION, SNAPSHOT_FORMAT_VERSION,
     };
     pub use slimfast_data::{
-        build_claims_sharded, read_observations_csv_sharded, Dataset, DatasetBuilder, DatasetStats,
-        FeatureMatrix, FeatureMatrixBuilder, FittedFusion, FusionEstimator, FusionInput,
-        FusionMethod, FusionOutput, GroundTruth, NamedObservation, ObjectId, SnapshotDir,
-        SourceAccuracies, SourceId, Split, SplitPlan, TruthAssignment, ValueId,
+        build_claims, read_observations_csv, Dataset, DatasetBuilder, DatasetStats, FeatureMatrix,
+        FeatureMatrixBuilder, FittedFusion, FusionEstimator, FusionInput, FusionMethod,
+        FusionOutput, GroundTruth, NamedObservation, ObjectId, SnapshotDir, SourceAccuracies,
+        SourceId, Split, SplitPlan, TruthAssignment, ValueId,
     };
     pub use slimfast_datagen::{DatasetKind, SyntheticConfig, SyntheticInstance};
     pub use slimfast_eval::{standard_lineup, ExperimentProtocol};

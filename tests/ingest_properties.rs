@@ -1,13 +1,14 @@
-//! Property-based tests for the sharded ingest pipeline and the incremental CSR
-//! maintenance path (delta-log appends, tombstoned evictions, compaction): for
-//! arbitrary claim streams, every maintenance schedule must be invisible — the
-//! sharded build must match the sequential one at any shard size and lane count, and
+//! Property-based tests for the bulk-load path and the incremental CSR maintenance
+//! path (delta-log appends, tombstoned evictions, compaction): for arbitrary claim
+//! streams, the in-memory and the CSV loader must build the same dataset however the
+//! input is laid out or delivered, and every maintenance schedule must be invisible —
 //! a compacted dataset must match a from-scratch rebuild of its live claims.
+
+use std::io::Read;
 
 use proptest::prelude::*;
 
-use slimfast::data::ingest::{build_claims_sharded_with, read_observations_csv_sharded_with};
-use slimfast::data::read_observations_csv;
+use slimfast::data::DataError;
 use slimfast::prelude::*;
 
 /// A conflict-free named claim stream: distinct (source, object) pairs in arbitrary
@@ -15,7 +16,7 @@ use slimfast::prelude::*;
 fn named_claims_strategy() -> impl Strategy<Value = Vec<NamedObservation>> {
     (2usize..8, 1usize..10, 2usize..4).prop_flat_map(|(s, o, d)| {
         // Claim order varies through the per-claim value draws (the stream walks the
-        // source × object grid, so shard boundaries cut rows at every offset).
+        // source × object grid, so the append split point cuts rows at every offset).
         let values = proptest::collection::vec(0..d, s * o);
         (Just(s), Just(o), values, Just(d)).prop_map(|(s, _o, values, _)| {
             let mut claims = Vec::new();
@@ -29,6 +30,33 @@ fn named_claims_strategy() -> impl Strategy<Value = Vec<NamedObservation>> {
             claims
         })
     })
+}
+
+/// Renders claims as `source,object,value` CSV under a header comment, with CRLF line
+/// endings when `crlf` is set.
+fn render_csv(claims: &[NamedObservation], crlf: bool) -> String {
+    let eol = if crlf { "\r\n" } else { "\n" };
+    let mut csv = format!("# source,object,value{eol}");
+    for c in claims {
+        csv.push_str(&format!("{},{},{}{eol}", c.source, c.object, c.value));
+    }
+    csv
+}
+
+/// A reader that hands out at most `chunk` bytes per `read`, so the CSV reader's
+/// buffer refills end at every offset within a line.
+struct ChunkedReader<'a> {
+    bytes: &'a [u8],
+    chunk: usize,
+}
+
+impl Read for ChunkedReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.chunk.min(buf.len()).min(self.bytes.len());
+        buf[..n].copy_from_slice(&self.bytes[..n]);
+        self.bytes = &self.bytes[n..];
+        Ok(n)
+    }
 }
 
 /// The maintenance schedule applied on top of the base stream: which claims arrive
@@ -45,44 +73,60 @@ fn schedule_strategy() -> impl Strategy<Value = (Vec<NamedObservation>, usize, V
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Sharded ingest is content-identical to the sequential builder for any shard
-    /// size and lane count — including shards of a single claim, where every name is
-    /// re-interned across a shard boundary.
+    /// The two bulk loaders agree: `build_claims` and the CSV reader build
+    /// content-identical datasets with the same handle assignment, both ignore
+    /// replayed exact duplicates, and both reject the same conflicting claim.
     #[test]
-    fn sharded_ingest_matches_the_sequential_build(
+    fn bulk_loaders_agree_on_any_claim_stream(
         claims in named_claims_strategy(),
-        shard_claims in 1usize..8,
+        replay in 0usize..8,
+        crlf in 0usize..2,
+        clash in 0usize..2,
     ) {
-        let mut builder = DatasetBuilder::new();
-        for c in &claims {
-            builder.observe(&c.source, &c.object, &c.value).unwrap();
-        }
-        let sequential = builder.build();
-        for threads in [1, 2, 4] {
-            let sharded = build_claims_sharded_with(&claims, threads, shard_claims).unwrap();
+        let mut stream = claims.clone();
+        stream.extend_from_slice(&claims[..replay.min(claims.len())]);
+        let built = build_claims(&stream).unwrap();
+        let read = read_observations_csv(render_csv(&stream, crlf == 1).as_bytes()).unwrap();
+        prop_assert!(read.same_content(&built), "CSV load diverged from build_claims");
+        prop_assert!(
+            built.same_content(&build_claims(&claims).unwrap()),
+            "replayed duplicates changed the dataset"
+        );
+        prop_assert_eq!(built.num_observations(), claims.len());
+
+        if clash == 1 {
+            let first = &claims[0];
+            stream.push(NamedObservation::new(&first.source, &first.object, "v-clash"));
+            let built = build_claims(&stream).unwrap_err();
+            let read = read_observations_csv(render_csv(&stream, crlf == 1).as_bytes())
+                .unwrap_err();
             prop_assert!(
-                sequential.same_content(&sharded),
-                "sharded build diverged at shard_claims={shard_claims} threads={threads}"
+                matches!(built, DataError::ConflictingObservation { .. }),
+                "unexpected error {built:?}"
             );
+            prop_assert_eq!(built.to_string(), read.to_string());
         }
     }
 
-    /// The sharded CSV reader agrees with the sequential one even when shard
-    /// boundaries fall mid-line (tiny byte shards force every split position).
+    /// The CSV reader does not depend on how the input arrives: reads that return
+    /// a few bytes at a time, splitting lines at every position, build the same
+    /// dataset as one contiguous slice.
     #[test]
-    fn sharded_csv_ingest_matches_the_sequential_reader(
+    fn csv_reader_is_independent_of_read_boundaries(
         claims in named_claims_strategy(),
-        shard_bytes in 1usize..64,
+        chunk in 1usize..64,
+        crlf in 0usize..2,
     ) {
-        let mut csv = String::new();
-        for c in &claims {
-            csv.push_str(&format!("{},{},{}\n", c.source, c.object, c.value));
-        }
-        let sequential = read_observations_csv(csv.as_bytes()).unwrap();
-        let sharded = read_observations_csv_sharded_with(csv.as_bytes(), 4, shard_bytes).unwrap();
+        let csv = render_csv(&claims, crlf == 1);
+        let whole = read_observations_csv(csv.as_bytes()).unwrap();
+        let chunked = read_observations_csv(ChunkedReader {
+            bytes: csv.as_bytes(),
+            chunk,
+        })
+        .unwrap();
         prop_assert!(
-            sequential.same_content(&sharded),
-            "sharded CSV build diverged at shard_bytes={shard_bytes}"
+            whole.same_content(&chunked),
+            "chunked CSV read diverged at chunk={chunk}"
         );
     }
 

@@ -31,7 +31,7 @@ fn stream_claims(n: usize) -> Vec<NamedObservation> {
 
 fn fitted_engine(threads: usize) -> FusionEngine {
     let initial = stream_claims(400);
-    let dataset = build_claims_sharded(&initial, threads).expect("stream is conflict-free");
+    let dataset = build_claims(&initial).expect("stream is conflict-free");
     let features = FeatureMatrix::empty(dataset.num_sources());
     let mut truth = GroundTruth::empty(dataset.num_objects());
     for i in (0..dataset.num_objects()).step_by(9) {

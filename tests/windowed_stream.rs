@@ -1,5 +1,5 @@
 //! End-to-end determinism of the windowed-stream scenario: the full serving path —
-//! sharded ingest, delta-log appends, window evictions, policy-driven compactions,
+//! bulk load, delta-log appends, window evictions, policy-driven compactions,
 //! and refits — must produce bitwise-identical reports at any worker-thread count.
 //!
 //! CI runs this suite under `SLIMFAST_THREADS={1,4}`; the explicit-thread matrix
