@@ -57,7 +57,7 @@ fn main() {
     println!();
     println!("Storage footprint (columnar CSR layout vs the pre-CSR nested-Vec estimate)\n");
     println!(
-        "{:<16}{:>14}{:>18}{:>20}{:>10}{:>12}{:>10}{:>12}",
+        "{:<16}{:>14}{:>18}{:>20}{:>10}{:>12}{:>10}{:>12}{:>12}",
         "Dataset",
         "Claims",
         "CSR B/claim",
@@ -65,14 +65,15 @@ fn main() {
         "Saved",
         "Delta B",
         "Dead",
-        "Compactions"
+        "Compactions",
+        "Name B"
     );
     for inst in &datasets {
         let storage = inst.dataset.storage_stats();
         let csr = storage.bytes_per_claim();
         let nested = storage.nested_bytes_per_claim();
         println!(
-            "{:<16}{:>14}{:>18.1}{:>20.1}{:>9.0}%{:>12}{:>10}{:>12}",
+            "{:<16}{:>14}{:>18.1}{:>20.1}{:>9.0}%{:>12}{:>10}{:>12}{:>12}",
             inst.name,
             storage.live_claims,
             csr,
@@ -81,11 +82,14 @@ fn main() {
             storage.delta_bytes,
             storage.dead_claims,
             storage.compactions,
+            storage.name_bytes,
         );
     }
     println!(
         "\nDelta B / Dead / Compactions report the incremental-maintenance state: bytes in\n\
          the append-side delta log, tombstoned claims awaiting compaction, and compactions\n\
-         absorbed — all zero for these freshly built batch instances."
+         absorbed — all zero for these freshly built batch instances. Name B is the memory\n\
+         of the source, object and value names (arena, offsets and hash table), which the\n\
+         B/claim columns leave out."
     );
 }

@@ -180,6 +180,11 @@ pub struct StorageStats {
     pub delta_bytes: usize,
     /// Number of compactions this dataset has absorbed.
     pub compactions: usize,
+    /// Bytes held by the source, object and value names: each vocabulary's arena,
+    /// offsets and hash table. Names grow with distinct entities, not with claims, and
+    /// [`StorageStats::total_bytes`] leaves them out: it is the claim storage that
+    /// per-claim figures and the snapshot's disk ≤ memory check compare.
+    pub name_bytes: usize,
 }
 
 impl StorageStats {
@@ -877,6 +882,9 @@ impl Dataset {
             pending_appends: self.delta.pending,
             delta_bytes,
             compactions: self.compactions,
+            name_bytes: self.sources.heap_bytes()
+                + self.objects.heap_bytes()
+                + self.values.heap_bytes(),
         }
     }
 
@@ -1578,5 +1586,32 @@ mod tests {
         assert_eq!(stats.pending_appends, 0);
         assert_eq!(stats.delta_bytes, 0);
         assert_eq!(stats.compactions, 1);
+    }
+
+    #[test]
+    fn name_bytes_grow_with_distinct_names_not_claims() {
+        let build = |claims: &[(usize, usize)]| {
+            let mut b = DatasetBuilder::new();
+            for &(s, o) in claims {
+                b.observe(&format!("source-{s}"), &format!("object-{o}"), "v")
+                    .unwrap();
+            }
+            b.build()
+        };
+        let grid: Vec<_> = (0..10).flat_map(|s| (0..10).map(move |o| (s, o))).collect();
+        let diagonal: Vec<_> = (0..10).map(|i| (i, i)).collect();
+        let (dense, sparse) = (
+            build(&grid).storage_stats(),
+            build(&diagonal).storage_stats(),
+        );
+        assert_eq!(dense.num_observations, 10 * sparse.num_observations);
+        assert_eq!(dense.name_bytes, sparse.name_bytes);
+        assert!(dense.total_bytes() > sparse.total_bytes());
+
+        let mut d = build(&diagonal);
+        d.append_named("source-0", "object-1", "v").unwrap();
+        assert_eq!(d.storage_stats().name_bytes, sparse.name_bytes);
+        d.append_named("source-10", "object-10", "w").unwrap();
+        assert!(d.storage_stats().name_bytes > sparse.name_bytes);
     }
 }

@@ -321,11 +321,10 @@ impl<'a> Cursor<'a> {
         Ok(offsets)
     }
 
-    /// Reads one [`write_str`] string, validating UTF-8.
-    pub fn read_str(&mut self) -> Result<String, DataError> {
+    /// Reads one [`write_str`] string, validating UTF-8. The string borrows the input.
+    pub fn read_str(&mut self) -> Result<&'a str, DataError> {
         let len = self.read_len(self.remaining())?;
-        let bytes = self.read_exact(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| corrupt("string is not valid UTF-8"))
+        std::str::from_utf8(self.read_exact(len)?).map_err(|_| corrupt("string is not valid UTF-8"))
     }
 }
 

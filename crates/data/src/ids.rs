@@ -6,8 +6,10 @@
 //! flat `Vec`s indexed by these handles, which keeps the hot loops (Gibbs sweeps, SGD
 //! epochs, EM iterations) allocation-free and cache friendly.
 
-use std::collections::HashMap;
+use std::collections::hash_map::RandomState;
 use std::fmt;
+use std::hash::BuildHasher;
+use std::marker::PhantomData;
 
 macro_rules! define_id {
     ($(#[$doc:meta])* $name:ident, $prefix:literal) => {
@@ -69,7 +71,28 @@ define_id!(
 /// A string interner mapping entity names to dense handles.
 ///
 /// The interner is generic over the handle type so the same implementation backs source,
-/// object, value, and feature vocabularies.
+/// object, value, and feature vocabularies. Handles are assigned in first-seen order.
+///
+/// # Layout
+///
+/// Each vocabulary is one flat arena of three buffers:
+///
+/// * `bytes`: every name's UTF-8, concatenated in handle order;
+/// * `offsets`: `offsets[h]..offsets[h + 1]` delimits name `h` in `bytes`;
+/// * `table`: an open-addressing (linear probing) hash table of `u32` handles, at most
+///   half full. A probe compares the candidate handle's name in place in `bytes`.
+///
+/// Each name lives in memory once, and a clone copies the three buffers with no
+/// allocation per name. That clone is part of every serving publish, refit capture,
+/// checkpoint and cold start, because each of them copies a whole dataset.
+///
+/// Names are hashed with std's keyed `RandomState` (SipHash under per-process random
+/// keys). Claim feeds are third-party input, and an unkeyed hash would let a feed pick
+/// names that pile onto one probe chain. Handles never depend on the hash, so every
+/// output stays deterministic.
+///
+/// Offsets and handles are `u32`: [`Interner::intern`] panics rather than wrap once a
+/// vocabulary passes 4 GiB of name bytes or `u32::MAX` names.
 ///
 /// ```
 /// use slimfast_data::{Interner, SourceId};
@@ -82,20 +105,107 @@ define_id!(
 /// assert_eq!(sources.name(a), Some("pubmed-18358451"));
 /// assert_eq!(sources.len(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct Interner<Id> {
-    names: Vec<String>,
-    lookup: HashMap<String, u32>,
-    _marker: std::marker::PhantomData<Id>,
+    bytes: String,
+    offsets: Vec<u32>,
+    table: Vec<u32>,
+    hasher: RandomState,
+    _marker: PhantomData<Id>,
+}
+
+/// Marks an empty slot of an [`Interner`] table; never a handle.
+const EMPTY: u32 = u32::MAX;
+/// Table size of an interner's first allocation.
+const MIN_SLOTS: usize = 8;
+
+/// First empty slot on `hash`'s probe sequence. `table` is a power of two in length and
+/// never full.
+fn vacant_slot(table: &[u32], hash: u64) -> usize {
+    let mask = table.len() - 1;
+    let mut slot = hash as usize & mask;
+    while table[slot] != EMPTY {
+        slot = (slot + 1) & mask;
+    }
+    slot
 }
 
 impl<Id> Default for Interner<Id> {
     fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl<Id> fmt::Debug for Interner<Id> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list()
+            .entries((0..self.len()).map(|h| self.name_at(h)))
+            .finish()
+    }
+}
+
+impl<Id> Interner<Id> {
+    /// Creates an empty interner.
+    pub fn new() -> Self {
         Self {
-            names: Vec::new(),
-            lookup: HashMap::new(),
-            _marker: std::marker::PhantomData,
+            bytes: String::new(),
+            offsets: vec![0],
+            table: Vec::new(),
+            hasher: RandomState::new(),
+            _marker: PhantomData,
         }
+    }
+
+    /// Creates an empty interner with room for `n` names before its table grows.
+    pub fn with_capacity(n: usize) -> Self {
+        let mut interner = Self::new();
+        interner.offsets.reserve(n);
+        if n > 0 {
+            interner.rehash((2 * n).next_power_of_two().max(MIN_SLOTS));
+        }
+        interner
+    }
+
+    /// Number of interned names.
+    pub fn len(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Whether the interner is empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Heap bytes of the arena, the offsets and the table.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.bytes.len() + (self.offsets.len() + self.table.len()) * std::mem::size_of::<u32>()
+    }
+
+    fn name_at(&self, handle: usize) -> &str {
+        &self.bytes[self.offsets[handle] as usize..self.offsets[handle + 1] as usize]
+    }
+
+    /// Handle of `name`, if interned.
+    fn find(&self, name: &str, hash: u64) -> Option<u32> {
+        let mask = self.table.len().checked_sub(1)?;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.table[slot] {
+                EMPTY => return None,
+                handle if self.name_at(handle as usize) == name => return Some(handle),
+                _ => slot = (slot + 1) & mask,
+            }
+        }
+    }
+
+    /// Rebuilds the table with `slots` slots (a power of two above twice the length).
+    fn rehash(&mut self, slots: usize) {
+        let mut table = vec![EMPTY; slots];
+        for handle in 0..self.len() {
+            let slot = vacant_slot(&table, self.hasher.hash_one(self.name_at(handle)));
+            table[slot] = handle as u32;
+        }
+        self.table = table;
     }
 }
 
@@ -104,77 +214,50 @@ where
     Id: From<usize> + Copy,
     Id: IdLike,
 {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        Self {
-            names: Vec::new(),
-            lookup: HashMap::new(),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Creates an empty interner with room for `n` names before reallocating.
-    pub fn with_capacity(n: usize) -> Self {
-        Self {
-            names: Vec::with_capacity(n),
-            lookup: HashMap::with_capacity(n),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
     /// Interns `name`, returning the existing handle if it was seen before.
+    ///
+    /// # Panics
+    ///
+    /// When a new name would take the vocabulary past 4 GiB of name bytes or
+    /// `u32::MAX` names.
     pub fn intern(&mut self, name: &str) -> Id {
-        if let Some(&raw) = self.lookup.get(name) {
-            return Id::from(raw as usize);
+        self.try_intern(name)
+            .expect("interner overflow: over 4 GiB of names or u32::MAX handles")
+    }
+
+    /// [`Interner::intern`], returning `None` instead of panicking on overflow.
+    pub(crate) fn try_intern(&mut self, name: &str) -> Option<Id> {
+        let hash = self.hasher.hash_one(name);
+        if let Some(handle) = self.find(name, hash) {
+            return Some(Id::from(handle as usize));
         }
-        let raw = self.names.len() as u32;
-        self.names.push(name.to_owned());
-        self.lookup.insert(name.to_owned(), raw);
-        Id::from(raw as usize)
+        let handle = u32::try_from(self.len()).ok().filter(|&h| h != EMPTY)?;
+        let end = u32::try_from(self.bytes.len() + name.len()).ok()?;
+        if 2 * self.offsets.len() > self.table.len() {
+            self.rehash((2 * self.table.len()).max(MIN_SLOTS));
+        }
+        let slot = vacant_slot(&self.table, hash);
+        self.table[slot] = handle;
+        self.bytes.push_str(name);
+        self.offsets.push(end);
+        Some(Id::from(handle as usize))
     }
 
     /// Returns the handle for `name` if it has been interned.
     pub fn get(&self, name: &str) -> Option<Id> {
-        self.lookup.get(name).map(|&raw| Id::from(raw as usize))
+        self.find(name, self.hasher.hash_one(name))
+            .map(|handle| Id::from(handle as usize))
     }
 
     /// Returns the name behind `id`, if the handle is in range.
     pub fn name(&self, id: Id) -> Option<&str> {
-        self.names.get(id.raw_index()).map(String::as_str)
-    }
-
-    /// Number of interned names.
-    pub fn len(&self) -> usize {
-        self.names.len()
-    }
-
-    /// Whether the interner is empty.
-    pub fn is_empty(&self) -> bool {
-        self.names.is_empty()
+        let handle = id.raw_index();
+        (handle < self.len()).then(|| self.name_at(handle))
     }
 
     /// Iterates over `(handle, name)` pairs in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = (Id, &str)> + '_ {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (Id::from(i), n.as_str()))
-    }
-
-    /// Rebuilds an interner from its insertion-order name vector (the inverse of
-    /// collecting [`Interner::iter`]). Handles are assigned in vector order, so an
-    /// interner round-trips exactly through its name list. Duplicate names keep the
-    /// first handle, matching [`Interner::intern`] semantics.
-    pub fn from_names(names: Vec<String>) -> Self {
-        let mut lookup = HashMap::with_capacity(names.len());
-        for (i, name) in names.iter().enumerate() {
-            lookup.entry(name.clone()).or_insert(i as u32);
-        }
-        Self {
-            names,
-            lookup,
-            _marker: std::marker::PhantomData,
-        }
+        (0..self.len()).map(|h| (Id::from(h), self.name_at(h)))
     }
 }
 

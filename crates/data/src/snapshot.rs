@@ -17,7 +17,7 @@
 //! | magic | `"SLFD"` (4 bytes) |
 //! | version | `u32` |
 //! | counts | varints: `num_sources`, `num_objects`, `num_values`, `num_observations`, `compactions`, `domains_len` |
-//! | source names | varint count, then per name: varint length + UTF-8 bytes |
+//! | source names | varint count, then per name: varint length + UTF-8 bytes; no name repeats |
 //! | object names | same |
 //! | value names | same |
 //! | `by_object` offsets | delta+varint offsets, `num_objects` rows |
@@ -87,16 +87,25 @@ fn write_dict<Id: Copy + From<usize> + crate::ids::IdLike>(
     }
 }
 
+/// Decodes a [`write_dict`] dictionary of at most `max_len` names straight into an
+/// interner. A name's position is its handle, so a repeated name, which `write_dict`
+/// never emits, is corruption: it would leave a handle that no name reaches.
 fn read_dict<Id: Copy + From<usize> + crate::ids::IdLike>(
     cursor: &mut Cursor<'_>,
     max_len: usize,
 ) -> Result<Interner<Id>, DataError> {
     let len = cursor.read_len(max_len)?;
-    let mut names = Vec::with_capacity(len.min(cursor.remaining()));
-    for _ in 0..len {
-        names.push(cursor.read_str()?);
+    // Each name takes at least its length byte, so the input left bounds the reservation.
+    let mut interner: Interner<Id> = Interner::with_capacity(len.min(cursor.remaining()));
+    for handle in 0..len {
+        let id = interner
+            .try_intern(cursor.read_str()?)
+            .ok_or_else(|| corrupt("dictionary overflows the name arena"))?;
+        if id.raw_index() != handle {
+            return Err(corrupt("dictionary repeats a name"));
+        }
     }
-    Ok(Interner::from_names(names))
+    Ok(interner)
 }
 
 /// Checks the magic/version header shared by both containers. Returns the cursor
@@ -594,6 +603,13 @@ mod tests {
         }
     }
 
+    /// Recomputes the trailing checksum after a test edits a container's payload.
+    fn restamp_checksum(bytes: &mut [u8]) {
+        let payload_len = bytes.len() - 8;
+        let checksum = format::fnv1a(&bytes[..payload_len]);
+        bytes[payload_len..].copy_from_slice(&checksum.to_le_bytes());
+    }
+
     #[test]
     fn bad_magic_and_future_versions_are_typed() {
         let mut bytes = dataset_to_bytes(&toy()).unwrap();
@@ -605,9 +621,7 @@ mod tests {
         ));
         // Future version (checksum re-stamped so only the version differs).
         bytes[4..8].copy_from_slice(&(DATASET_FORMAT_VERSION + 3).to_le_bytes());
-        let payload_len = bytes.len() - 8;
-        let checksum = format::fnv1a(&bytes[..payload_len]);
-        bytes[payload_len..].copy_from_slice(&checksum.to_le_bytes());
+        restamp_checksum(&mut bytes);
         match dataset_from_bytes(&bytes).unwrap_err() {
             DataError::UnsupportedModelVersion { found, supported } => {
                 assert_eq!(found, DATASET_FORMAT_VERSION + 3);
@@ -631,6 +645,41 @@ mod tests {
             bad[pos] ^= 0x10;
             assert!(dataset_from_bytes(&bad).is_err(), "flip at {pos}");
         }
+    }
+
+    #[test]
+    fn repeated_dictionary_names_are_corruption() {
+        // Renames one name to an earlier one of the same length, so the framing holds
+        // and only the checksum needs re-stamping.
+        let rename = |mut bytes: Vec<u8>, from: &str, to: &str| {
+            let at = bytes
+                .windows(from.len())
+                .position(|w| w == from.as_bytes())
+                .expect("name is in the container");
+            bytes[at..at + from.len()].copy_from_slice(to.as_bytes());
+            restamp_checksum(&mut bytes);
+            bytes
+        };
+        let assert_repeat = |result: Result<(), DataError>, what: &str| match result {
+            Err(DataError::CorruptModel { message }) => {
+                assert!(message.contains("repeats a name"), "{what}: {message}")
+            }
+            other => panic!("{what}: expected a corrupt dictionary, got {other:?}"),
+        };
+        let mut b = DatasetBuilder::new();
+        b.observe("srcA", "objA", "valA").unwrap();
+        b.observe("srcB", "objB", "valB").unwrap();
+        let bytes = dataset_to_bytes(&b.build()).unwrap();
+        for (first, second) in [("srcA", "srcB"), ("objA", "objB"), ("valA", "valB")] {
+            let result = dataset_from_bytes(&rename(bytes.clone(), second, first));
+            assert_repeat(result.map(drop), second);
+        }
+        let mut f = FeatureMatrixBuilder::new();
+        f.set_flag(SourceId::new(0), "featA");
+        f.set_flag(SourceId::new(1), "featB");
+        let bytes = features_to_bytes(&f.build(2));
+        let result = features_from_bytes(&rename(bytes, "featB", "featA"));
+        assert_repeat(result.map(drop), "featB");
     }
 
     #[test]
