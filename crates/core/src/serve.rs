@@ -108,6 +108,7 @@
 //! cleanly, scanning past torn or corrupt files (see [`SnapshotDir::recover`]).
 
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
@@ -144,6 +145,59 @@ const SNAPSHOT_MAGIC: [u8; 4] = *b"SLFS";
 /// only changes when the *bundle* layout does — a dataset- or model-format revision is
 /// absorbed by the nested containers' own version fields.
 pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
+
+/// The fixed fields of an `SLFS` bundle and where its model and dataset sections lie
+/// in the payload: what [`ModelSnapshot::from_bytes`] reads before it verifies both
+/// checksums, and so before it parses any section.
+struct BundleFraming {
+    epoch: u64,
+    claims_ingested: u64,
+    refits_installed: usize,
+    decision: OptimizerDecision,
+    model: Range<usize>,
+    /// The dataset container, its own trailer included.
+    dataset: Range<usize>,
+}
+
+impl BundleFraming {
+    /// Reads the framing from a bundle's payload (everything in front of its trailer),
+    /// bounds-checked: any failure is an error, never a panic.
+    fn read(payload: &[u8]) -> Result<Self, DataError> {
+        let mut cursor = format::Cursor::new(payload);
+        cursor.read_exact(8)?; // magic and version, checked by the caller
+        let epoch = cursor.read_varint()?;
+        let claims_ingested = cursor.read_varint()?;
+        let refits_installed = cursor.read_len(usize::MAX)?;
+        let decision = match cursor.read_u8()? {
+            0 => OptimizerDecision::Erm,
+            1 => OptimizerDecision::Em,
+            other => {
+                return Err(format::corrupt(format!(
+                    "unknown optimizer decision tag {other}"
+                )))
+            }
+        };
+        let section = |cursor: &mut format::Cursor<'_>| {
+            let len = cursor.read_len(cursor.remaining())?;
+            let start = payload.len() - cursor.remaining();
+            cursor.read_exact(len)?;
+            Ok::<_, DataError>(start..start + len)
+        };
+        let model = section(&mut cursor)?;
+        let dataset = section(&mut cursor)?;
+        if dataset.len() < 8 {
+            return Err(format::corrupt("dataset section shorter than its checksum"));
+        }
+        Ok(Self {
+            epoch,
+            claims_ingested,
+            refits_installed,
+            decision,
+            model,
+            dataset,
+        })
+    }
+}
 
 /// An immutable, consistent view of the serving state: one fitted model, the dataset
 /// as of publish time, and the compiled per-source trust table
@@ -218,16 +272,19 @@ impl ModelSnapshot {
     /// | FNV-1a 64 checksum of everything above
     /// ```
     ///
-    /// The dataset is written in compacted form (an uncompacted snapshot is compacted
-    /// on a clone first — content-preserving, so reloaded posteriors are unchanged).
+    /// The dataset is written in compacted form: an uncompacted snapshot writes
+    /// [`Dataset::compacted`] (content-preserving, so reloaded posteriors are
+    /// unchanged). The dataset container's own checksum and the bundle's are computed
+    /// in one pass over the dataset bytes ([`format::seal_nested`]).
     pub fn to_bytes(&self) -> Result<Vec<u8>, DataError> {
-        let dataset_bytes = if self.dataset.is_compacted() {
-            columnar::dataset_to_bytes(&self.dataset)?
+        let compacted;
+        let dataset = if self.dataset.is_compacted() {
+            &self.dataset
         } else {
-            let mut compacted = self.dataset.clone();
-            compacted.compact();
-            columnar::dataset_to_bytes(&compacted)?
+            compacted = self.dataset.compacted();
+            &compacted
         };
+        let dataset_bytes = columnar::dataset_to_unsealed_bytes(dataset)?;
         let model_bytes = self.model.to_bytes();
         let features_bytes = columnar::features_to_bytes(&self.features);
         let mut bytes = Vec::with_capacity(
@@ -245,17 +302,30 @@ impl ModelSnapshot {
             OptimizerDecision::Erm => 0,
             OptimizerDecision::Em => 1,
         });
-        for section in [&model_bytes, &dataset_bytes, &features_bytes] {
-            format::write_varint(&mut bytes, section.len() as u64);
-            bytes.extend_from_slice(section);
-        }
+        format::write_varint(&mut bytes, model_bytes.len() as u64);
+        bytes.extend_from_slice(&model_bytes);
+        // The dataset container's trailer is left zeroed here and sealed below.
+        format::write_varint(&mut bytes, dataset_bytes.len() as u64 + 8);
+        let dataset_at = bytes.len();
+        bytes.extend_from_slice(&dataset_bytes);
+        bytes.extend_from_slice(&[0; 8]);
+        let dataset_section = dataset_at..bytes.len();
+        format::write_varint(&mut bytes, features_bytes.len() as u64);
+        bytes.extend_from_slice(&features_bytes);
         format::write_varint(&mut bytes, self.trust.len() as u64);
         format::write_f64_column(&mut bytes, &self.trust);
-        format::append_checksum(&mut bytes);
+        format::seal_nested(&mut bytes, dataset_section);
         Ok(bytes)
     }
 
     /// Deserializes a bundle written by [`ModelSnapshot::to_bytes`].
+    ///
+    /// Both checksums are verified before any section is parsed, in one pass: the
+    /// bundle's trailer covers every payload byte, and the dataset container's own
+    /// trailer is compared in the same pass, from the section bounds in the bundle's
+    /// bounds-checked framing. The dataset parser then takes that hash instead of
+    /// hashing its container again. When the framing cannot be read, the whole bundle
+    /// is verified first, so a corrupt bundle reports a checksum mismatch.
     ///
     /// Corruption anywhere — bad magic, a flipped bit, truncation at any byte,
     /// inconsistent section dimensions — yields [`DataError::CorruptModel`]; a bundle
@@ -277,24 +347,21 @@ impl ModelSnapshot {
                 supported: SNAPSHOT_FORMAT_VERSION,
             });
         }
-        let payload = format::split_checksum(bytes)?;
-        let mut cursor = format::Cursor::new(&payload[8..]);
-        let epoch = cursor.read_varint()?;
-        let claims_ingested = cursor.read_varint()?;
-        let refits_installed = cursor.read_len(usize::MAX)?;
-        let decision = match cursor.read_u8()? {
-            0 => OptimizerDecision::Erm,
-            1 => OptimizerDecision::Em,
-            other => {
-                return Err(format::corrupt(format!(
-                    "unknown optimizer decision tag {other}"
-                )))
+        let framing = match BundleFraming::read(&bytes[..bytes.len() - 8]) {
+            Ok(framing) => framing,
+            Err(err) => {
+                format::split_checksum(bytes)?;
+                return Err(err);
             }
         };
-        let n = cursor.read_len(cursor.remaining())?;
-        let model = SlimFastModel::from_bytes(cursor.read_exact(n)?)?;
-        let n = cursor.read_len(cursor.remaining())?;
-        let dataset = columnar::dataset_from_bytes(cursor.read_exact(n)?)?;
+        let (payload, dataset_hash) =
+            format::split_nested_checksums(bytes, framing.dataset.clone())?;
+        let model = SlimFastModel::from_bytes(&payload[framing.model])?;
+        let dataset = columnar::dataset_from_prehashed_bytes(
+            &payload[framing.dataset.clone()],
+            dataset_hash,
+        )?;
+        let mut cursor = format::Cursor::new(&payload[framing.dataset.end..]);
         let n = cursor.read_len(cursor.remaining())?;
         let features = columnar::features_from_bytes(cursor.read_exact(n)?)?;
         let trust_len = cursor.read_len(u32::MAX as usize)?;
@@ -331,10 +398,10 @@ impl ModelSnapshot {
             dataset,
             features,
             trust,
-            decision,
-            epoch,
-            claims_ingested,
-            refits_installed,
+            decision: framing.decision,
+            epoch: framing.epoch,
+            claims_ingested: framing.claims_ingested,
+            refits_installed: framing.refits_installed,
         })
     }
 
@@ -1460,6 +1527,127 @@ mod tests {
             }
             other => panic!("expected decision-tag failure, got {other:?}"),
         }
+    }
+
+    /// Re-stamps a bundle's trailing checksum after a test edited its payload.
+    fn restamp(bytes: &mut Vec<u8>) {
+        bytes.truncate(bytes.len() - 8);
+        format::append_checksum(bytes);
+    }
+
+    fn assert_checksum_error(result: Result<ModelSnapshot, DataError>, what: &str) {
+        match result {
+            Err(DataError::CorruptModel { message }) => {
+                assert!(message.contains("checksum"), "{what}: {message}")
+            }
+            other => panic!("{what}: expected a checksum failure, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn both_checksums_still_bite_after_fusing() {
+        let mut serving = serving_fixture(RefitPolicy::Never);
+        serving.publish_now();
+        let good = serving.snapshot().to_bytes().unwrap();
+        let framing = BundleFraming::read(&good[..good.len() - 8]).unwrap();
+        let section = framing.dataset.clone();
+
+        // A dataset edit that still parses (an object renamed to an unused name),
+        // with only the bundle checksum re-stamped: the nested trailer catches it.
+        let name = [3, b'o', b'1', b'7'];
+        let at = section.start
+            + good[section.clone()]
+                .windows(name.len())
+                .position(|w| w == name)
+                .expect("object name in the dataset section");
+        let mut renamed = good.clone();
+        renamed[at + 1] = b'p';
+        restamp(&mut renamed);
+        assert_checksum_error(ModelSnapshot::from_bytes(&renamed), "renamed object");
+
+        // An edited nested trailer, re-stamped, fails the same way.
+        let mut trailer = good.clone();
+        trailer[section.end - 1] ^= 0x80;
+        restamp(&mut trailer);
+        assert_checksum_error(ModelSnapshot::from_bytes(&trailer), "nested trailer");
+
+        // A flipped bit in a section-length varint moves or breaks the framing; the
+        // bundle checksum still covers every byte and reports it.
+        for (what, range) in [("model", framing.model), ("dataset", section)] {
+            let mut varint = Vec::new();
+            format::write_varint(&mut varint, range.len() as u64);
+            let at = range.start - varint.len();
+            for (byte, bit) in [(at, 0), (range.start - 1, 6)] {
+                let mut flipped = good.clone();
+                flipped[byte] ^= 1 << bit;
+                assert_checksum_error(ModelSnapshot::from_bytes(&flipped), what);
+            }
+        }
+    }
+
+    /// The compaction the bundle writer ran before merge compaction: rebuild the live
+    /// claims from scratch (an indexing pass), then carry the compaction counter over,
+    /// which a fresh build starts at zero, by patching it in the container header.
+    fn compacted_by_rebuild(dataset: &Dataset) -> Dataset {
+        let rebuilt = dataset.to_builder().build();
+        let mut bytes = columnar::dataset_to_bytes(&rebuilt).unwrap();
+        let mut counts = Vec::new();
+        for count in [
+            rebuilt.num_sources(),
+            rebuilt.num_objects(),
+            rebuilt.num_values(),
+            rebuilt.num_observations(),
+        ] {
+            format::write_varint(&mut counts, count as u64);
+        }
+        let at = 8 + counts.len();
+        assert_eq!(bytes[at], 0, "a fresh build has no compactions");
+        bytes[at] = u8::try_from(dataset.compaction_count() + 1).expect("one-byte varint");
+        restamp(&mut bytes);
+        columnar::dataset_from_bytes(&bytes).unwrap()
+    }
+
+    #[test]
+    fn uncompacted_snapshots_write_the_bytes_of_a_from_scratch_rebuild() {
+        let mut serving = serving_fixture(RefitPolicy::Never);
+        serving.publish_now();
+        let published = serving.snapshot();
+        let mut dataset = published.dataset().clone();
+        // Tombstones among the base claims, pending appends after them (existing sources
+        // only, so the trust table still fits), and one re-asserted claim.
+        let victims: Vec<_> = dataset
+            .live_observations()
+            .step_by(7)
+            .map(|obs| (obs.source, obs.object))
+            .collect();
+        dataset.evict_batch(&victims);
+        for claim in claims(0, 40) {
+            dataset
+                .append_named(&claim.source, &claim.object, &claim.value)
+                .unwrap();
+        }
+        let again = *dataset.live_observations().nth(3).unwrap();
+        dataset.evict(again.source, again.object);
+        dataset
+            .append_ids(again.source, again.object, again.value)
+            .unwrap();
+        assert!(dataset.pending_appends() > 0 && dataset.dead_claims() > 0);
+
+        let with_dataset = |dataset: Dataset| ModelSnapshot {
+            model: published.model.clone(),
+            dataset,
+            features: published.features.clone(),
+            trust: published.trust.clone(),
+            decision: published.decision,
+            epoch: published.epoch,
+            claims_ingested: published.claims_ingested,
+            refits_installed: published.refits_installed,
+        };
+        let bytes = with_dataset(dataset.clone()).to_bytes().unwrap();
+        let reference = with_dataset(compacted_by_rebuild(&dataset));
+        assert_eq!(bytes, reference.to_bytes().unwrap());
+        let restored = ModelSnapshot::from_bytes(&bytes).unwrap();
+        assert!(restored.dataset().same_content(&dataset));
     }
 
     #[test]

@@ -14,31 +14,37 @@
 //! time proportional to the touched *rows* rather than the whole dataset. Mutations are
 //! recorded in a delta log — materialized per-row overlays consulted transparently by
 //! every slice accessor — plus a tombstone bitmap over the insertion-order observation
-//! log. [`Dataset::compact`] folds the delta back into the base CSR arrays; the result
-//! is bitwise-identical to rebuilding from scratch from the same live claims because
-//! both paths run the same indexing routine over the same log.
+//! log. [`Dataset::compacted`] (and [`Dataset::compact`], in place) folds the delta
+//! back into the base CSR arrays by merging: every row is copied from the base or
+//! from its overlay row, and log sequence numbers are renumbered over the live claims.
+//! Overlay rows are kept exactly as an indexing pass lays rows out (sorted, domains in
+//! first-seen order), so the result is bitwise-identical to rebuilding from scratch
+//! from the same live claims, without re-indexing the log.
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::error::DataError;
 use crate::ids::{Interner, ObjectId, SourceId, ValueId};
 use crate::observation::Observation;
 
 thread_local! {
-    /// Full CSR indexing passes ([`DatasetBuilder::build`] and [`Dataset::compact`])
-    /// run on this thread. Diagnostics only: serving-path tests snapshot it to assert
-    /// that per-claim ingest never pays an O(dataset) re-index.
+    /// Full O(dataset) passes that write the base CSR arrays ([`DatasetBuilder::build`]
+    /// and [`Dataset::compacted`]) run on this thread. Diagnostics only: serving-path
+    /// tests snapshot it to assert that per-claim ingest never pays an O(dataset) pass.
     static FULL_INDEX_PASSES: Cell<u64> = const { Cell::new(0) };
 }
 
-/// Number of full CSR indexing passes the calling thread has run (every
-/// [`DatasetBuilder::build`] and every non-trivial [`Dataset::compact`]).
+/// Number of full O(dataset) passes over the base CSR arrays the calling thread has
+/// run: every [`DatasetBuilder::build`] (an indexing pass over the log) and every
+/// non-trivial [`Dataset::compacted`] or [`Dataset::compact`] (a merge that copies
+/// every row).
 ///
 /// Intended for tests and benchmarks that assert incremental ingest stays off the
-/// O(dataset) rebuild path. An indexing pass runs entirely on the thread that calls
-/// it, so the count is per thread: builds on other threads (a test harness running
-/// tests in parallel, a pool worker) never move it. It is monotone.
+/// O(dataset) path. A pass runs entirely on the thread that calls it, so the count is
+/// per thread: builds on other threads (a test harness running tests in parallel, a
+/// pool worker) never move it. It is monotone.
 pub fn full_index_passes() -> u64 {
     FULL_INDEX_PASSES.with(Cell::get)
 }
@@ -215,9 +221,7 @@ fn csr_range(offsets: &[u32], i: usize) -> std::ops::Range<usize> {
     offsets[i] as usize..offsets[i + 1] as usize
 }
 
-/// The CSR arrays produced by one full indexing pass. Shared by
-/// [`DatasetBuilder::build`] and [`Dataset::compact`] so a compacted dataset is
-/// bitwise-identical to one built from scratch from the same log.
+/// The CSR arrays produced by one full indexing pass ([`DatasetBuilder::build`]).
 struct CsrIndex {
     by_object: Vec<(SourceId, ValueId)>,
     by_object_offsets: Vec<u32>,
@@ -313,6 +317,64 @@ fn index_observations(
         domains,
         domain_offsets,
     }
+}
+
+/// Copies CSR rows `0..rows` into new arrays, taking each row from `overlay` when it
+/// holds one and from the base otherwise; rows past the base's end are empty unless
+/// overlaid. Untouched base rows between two overlay rows move in one slice copy,
+/// their offsets shifted by the overlay rows' net growth.
+fn merge_rows<T: Copy, V>(
+    base: &[T],
+    base_offsets: &[u32],
+    rows: usize,
+    overlay: &HashMap<u32, V>,
+    overlay_row: impl Fn(&V) -> &[T],
+) -> (Vec<T>, Vec<u32>) {
+    let base_rows = base_offsets.len().saturating_sub(1);
+    let base_row_len = |row: usize| {
+        if row < base_rows {
+            csr_range(base_offsets, row).len()
+        } else {
+            0
+        }
+    };
+    let mut touched: Vec<(usize, &[T])> = overlay
+        .iter()
+        .map(|(&row, v)| (row as usize, overlay_row(v)))
+        .collect();
+    touched.sort_unstable_by_key(|&(row, _)| row);
+    let total = touched.iter().fold(base.len(), |total, &(row, entries)| {
+        total + entries.len() - base_row_len(row)
+    });
+
+    let mut entries = Vec::with_capacity(total);
+    let mut offsets = Vec::with_capacity(rows + 1);
+    offsets.push(0u32);
+    let copy_base = |entries: &mut Vec<T>, offsets: &mut Vec<u32>, span: Range<usize>| {
+        let end = span.end.min(base_rows);
+        if span.start < end {
+            let (lo, hi) = (base_offsets[span.start], base_offsets[end]);
+            let at = entries.len() as u32;
+            entries.extend_from_slice(&base[lo as usize..hi as usize]);
+            offsets.extend(
+                base_offsets[span.start + 1..=end]
+                    .iter()
+                    .map(|&o| o - lo + at),
+            );
+        }
+        let filled = entries.len() as u32;
+        offsets.extend(std::iter::repeat(filled).take(span.end - span.start.max(end)));
+    };
+    let mut next = 0;
+    for (row, replacement) in touched {
+        assert!(row < rows, "overlay row {row} outside {rows} rows");
+        copy_base(&mut entries, &mut offsets, next..row);
+        entries.extend_from_slice(replacement);
+        offsets.push(entries.len() as u32);
+        next = row + 1;
+    }
+    copy_base(&mut entries, &mut offsets, next..rows);
+    (entries, offsets)
 }
 
 impl Dataset {
@@ -762,44 +824,93 @@ impl Dataset {
             && self.delta.domains.is_empty()
     }
 
-    /// Folds the delta log into the base CSR arrays: tombstoned log entries are
-    /// dropped, overlay rows discarded, and the indexes rebuilt from the live log with
-    /// the same routine [`DatasetBuilder::build`] uses — so the result is
-    /// bitwise-identical to a dataset built from scratch from the same live claims.
-    /// No-op when there is no delta.
-    pub fn compact(&mut self) {
+    /// The dataset with its delta log folded into the base CSR arrays: tombstoned log
+    /// entries dropped, every overlay row in place of its base row, and the log
+    /// sequence numbers renumbered to the live claims' positions. A dataset without
+    /// delta comes back as a plain clone.
+    ///
+    /// The result is bitwise-identical, on every array, to a dataset built from
+    /// scratch from the same live claims under the same vocabulary, with the
+    /// compaction counter one higher. It is a merge, not a re-index: each object,
+    /// source and domain row is copied from the base or from its overlay row (runs of
+    /// untouched rows in one slice copy), and when tombstones exist the sequence column
+    /// is renumbered by a prefix-sum rank over the liveness bitmap. Still O(dataset),
+    /// so it counts in [`full_index_passes`].
+    pub fn compacted(&self) -> Dataset {
         if self.is_compacted() {
-            return;
+            return self.clone();
         }
-        if self.num_dead > 0 {
-            let flags = self
-                .live
-                .take()
-                .expect("dead claims imply a liveness bitmap");
-            let mut kept = Vec::with_capacity(self.observations.len() - self.num_dead);
-            for (obs, live) in self.observations.iter().zip(&flags) {
-                if *live {
-                    kept.push(*obs);
-                }
+        FULL_INDEX_PASSES.with(|passes| passes.set(passes.get() + 1));
+        let mut observations = Vec::with_capacity(self.num_observations());
+        observations.extend(self.live_observations().copied());
+        let (by_object, by_object_offsets) = merge_rows(
+            &self.by_object,
+            &self.by_object_offsets,
+            self.num_objects,
+            &self.delta.objects,
+            |row| &row.entries,
+        );
+        let (mut by_object_seq, _) = merge_rows(
+            &self.by_object_seq,
+            &self.by_object_offsets,
+            self.num_objects,
+            &self.delta.objects,
+            |row| &row.seqs,
+        );
+        if let Some(live) = &self.live {
+            // A live claim's new sequence number is the count of live claims before it.
+            let mut rank = Vec::with_capacity(live.len());
+            let mut next = 0u32;
+            for &alive in live {
+                rank.push(next);
+                next += u32::from(alive);
             }
-            self.observations = kept;
-            self.num_dead = 0;
+            for seq in &mut by_object_seq {
+                *seq = rank[*seq as usize];
+            }
         }
-        let index = index_observations(&self.observations, self.num_sources, self.num_objects);
-        self.install_index(index);
-        self.live = None;
-        self.delta = DeltaLog::default();
-        self.compactions += 1;
+        let (by_source, by_source_offsets) = merge_rows(
+            &self.by_source,
+            &self.by_source_offsets,
+            self.num_sources,
+            &self.delta.sources,
+            |row| row,
+        );
+        let (domains, domain_offsets) = merge_rows(
+            &self.domains,
+            &self.domain_offsets,
+            self.num_objects,
+            &self.delta.domains,
+            |row| row,
+        );
+        Dataset {
+            observations,
+            live: None,
+            num_dead: 0,
+            by_object,
+            by_object_offsets,
+            by_object_seq,
+            by_source,
+            by_source_offsets,
+            domains,
+            domain_offsets,
+            sources: self.sources.clone(),
+            objects: self.objects.clone(),
+            values: self.values.clone(),
+            num_sources: self.num_sources,
+            num_objects: self.num_objects,
+            num_values: self.num_values,
+            delta: DeltaLog::default(),
+            compactions: self.compactions + 1,
+        }
     }
 
-    fn install_index(&mut self, index: CsrIndex) {
-        self.by_object = index.by_object;
-        self.by_object_offsets = index.by_object_offsets;
-        self.by_object_seq = index.by_object_seq;
-        self.by_source = index.by_source;
-        self.by_source_offsets = index.by_source_offsets;
-        self.domains = index.domains;
-        self.domain_offsets = index.domain_offsets;
+    /// Folds the delta log into the base CSR arrays in place: `*self` becomes
+    /// [`Dataset::compacted`]. No-op when there is no delta.
+    pub fn compact(&mut self) {
+        if !self.is_compacted() {
+            *self = self.compacted();
+        }
     }
 
     /// Structural equality of the live content: entity counts, live claim log, every
@@ -1566,6 +1677,140 @@ mod tests {
         // Compacting twice is a no-op.
         compacted.compact();
         assert_eq!(compacted.compaction_count(), 1);
+    }
+
+    /// The compaction this module ran before the merge: drop the tombstones, then
+    /// re-index the live log from scratch. The merge must match it on every field.
+    fn compacted_by_reindex(d: &Dataset) -> Dataset {
+        let mut out = d.clone();
+        if out.is_compacted() {
+            return out;
+        }
+        out.observations = d.live_observations().copied().collect();
+        let index = index_observations(&out.observations, out.num_sources, out.num_objects);
+        out.by_object = index.by_object;
+        out.by_object_offsets = index.by_object_offsets;
+        out.by_object_seq = index.by_object_seq;
+        out.by_source = index.by_source;
+        out.by_source_offsets = index.by_source_offsets;
+        out.domains = index.domains;
+        out.domain_offsets = index.domain_offsets;
+        out.live = None;
+        out.num_dead = 0;
+        out.delta = DeltaLog::default();
+        out.compactions += 1;
+        out
+    }
+
+    /// Asserts two compacted datasets agree on every field, `by_object_seq` and the
+    /// compaction counter included (which `same_content` does not compare).
+    fn assert_identical(merged: &Dataset, reference: &Dataset, what: &str) {
+        assert!(merged.is_compacted() && reference.is_compacted(), "{what}");
+        assert!(merged.live.is_none() && merged.num_dead == 0, "{what}");
+        assert_eq!(merged.observations, reference.observations, "{what}: log");
+        assert_eq!(merged.by_object, reference.by_object, "{what}: by_object");
+        assert_eq!(
+            merged.by_object_offsets, reference.by_object_offsets,
+            "{what}"
+        );
+        assert_eq!(merged.by_object_seq, reference.by_object_seq, "{what}: seq");
+        assert_eq!(merged.by_source, reference.by_source, "{what}: by_source");
+        assert_eq!(
+            merged.by_source_offsets, reference.by_source_offsets,
+            "{what}"
+        );
+        assert_eq!(merged.domains, reference.domains, "{what}: domains");
+        assert_eq!(merged.domain_offsets, reference.domain_offsets, "{what}");
+        let counts = |d: &Dataset| (d.num_sources, d.num_objects, d.num_values, d.compactions);
+        assert_eq!(counts(merged), counts(reference), "{what}: counts");
+        assert!(merged.same_content(reference), "{what}: names");
+        assert_eq!(
+            crate::snapshot::dataset_to_bytes(merged).unwrap(),
+            crate::snapshot::dataset_to_bytes(reference).unwrap(),
+            "{what}: container bytes"
+        );
+    }
+
+    #[test]
+    fn merge_compaction_equals_reindex_on_every_array() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xC0_4AC7);
+        for case in 0..400 {
+            let (sources, objects) = (rng.gen_range(1..9usize), rng.gen_range(1..14usize));
+            let claim = |rng: &mut StdRng, extra: usize| {
+                (
+                    format!("s{}", rng.gen_range(0..sources + extra)),
+                    format!("o{}", rng.gen_range(0..objects + extra)),
+                    format!("v{}", rng.gen_range(0..4u8)),
+                )
+            };
+            let mut b = DatasetBuilder::new();
+            for _ in 0..rng.gen_range(0..50usize) {
+                let (s, o, v) = claim(&mut rng, 0);
+                let _ = b.observe(&s, &o, &v);
+            }
+            // Reserved handles with no claims, past the named ones.
+            b.reserve_sources(rng.gen_range(0..sources + 3));
+            b.reserve_objects(rng.gen_range(0..objects + 3));
+            let mut d = b.build();
+
+            for step in 0..rng.gen_range(1..80usize) {
+                let live: Vec<(SourceId, ObjectId, ValueId)> = d
+                    .live_observations()
+                    .map(|obs| (obs.source, obs.object, obs.value))
+                    .collect();
+                let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+                match rng.gen_range(0..10u8) {
+                    0..=3 => {
+                        let (s, o, v) = claim(&mut rng, 3);
+                        let _ = d.append_named(&s, &o, &v);
+                    }
+                    4 if !live.is_empty() => {
+                        let (s, o, _) = pick(&mut rng);
+                        assert!(d.evict(s, o));
+                    }
+                    5 if !live.is_empty() => {
+                        // A batch with duplicates and a pair that has no claim.
+                        let mut batch: Vec<(SourceId, ObjectId)> = (0..rng.gen_range(1..6))
+                            .map(|_| {
+                                let (s, o, _) = pick(&mut rng);
+                                (s, o)
+                            })
+                            .collect();
+                        batch.push(batch[0]);
+                        batch.push((SourceId::new(d.num_sources() + 1), ObjectId::new(0)));
+                        d.evict_batch(&batch);
+                    }
+                    6 if !live.is_empty() => {
+                        // Re-asserted: evicted, then claimed again at the log's end.
+                        let (s, o, v) = pick(&mut rng);
+                        d.evict(s, o);
+                        assert!(d.append_ids(s, o, v).unwrap().is_some());
+                    }
+                    7 => {
+                        d.intern_source(&format!("reserved-s{step}"));
+                        d.intern_object(&format!("reserved-o{step}"));
+                    }
+                    8 if rng.gen_bool(0.3) => {
+                        let what = format!("case {case} step {step}");
+                        let merged = d.compacted();
+                        assert_identical(&merged, &compacted_by_reindex(&d), &what);
+                        d = merged;
+                    }
+                    _ => {}
+                }
+            }
+            let what = format!("case {case}");
+            let reference = compacted_by_reindex(&d);
+            let before = full_index_passes();
+            let merged = d.compacted();
+            assert_eq!(full_index_passes(), before + u64::from(!d.is_compacted()));
+            assert_identical(&merged, &reference, &what);
+            d.compact();
+            assert_identical(&d, &reference, &what);
+        }
     }
 
     #[test]

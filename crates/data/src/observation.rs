@@ -5,7 +5,6 @@ use crate::ids::{ObjectId, SourceId, ValueId};
 /// A claim `v_{o,s}`: source `s` asserts that object `o` has value `v` (Section 2 of the
 /// paper). The set of all observations is the core input `Ω` of data fusion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Observation {
     /// The claiming source.
     pub source: SourceId,

@@ -108,12 +108,15 @@ fn read_dict<Id: Copy + From<usize> + crate::ids::IdLike>(
     Ok(interner)
 }
 
-/// Checks the magic/version header shared by both containers. Returns the cursor
-/// positioned after the header, with the trailing checksum already verified.
+/// Checks the magic/version header shared by both containers and the trailing
+/// checksum, which `payload_hash` computes from the payload in front of it (or
+/// returns, when the caller hashed that payload already). Returns the cursor
+/// positioned after the header.
 fn open_container<'a>(
     bytes: &'a [u8],
     magic: &[u8; 4],
     supported: u32,
+    payload_hash: impl FnOnce(&[u8]) -> u64,
 ) -> Result<Cursor<'a>, DataError> {
     if bytes.len() < 8 || &bytes[..4] != magic {
         return Err(corrupt("bad magic: not a snapshot container"));
@@ -125,7 +128,7 @@ fn open_container<'a>(
             supported,
         });
     }
-    let payload = format::split_checksum(bytes)?;
+    let payload = format::split_prehashed(bytes, payload_hash)?;
     let mut cursor = Cursor::new(payload);
     cursor.read_exact(8).expect("header length checked");
     Ok(cursor)
@@ -134,12 +137,22 @@ fn open_container<'a>(
 /// Serializes a compacted dataset into the columnar `SLFD` container.
 ///
 /// Fails with [`DataError::Invalid`] when the dataset carries pending appends or
-/// tombstones — call [`Dataset::compact`] first (the serving-bundle writer does this
-/// automatically on a clone).
+/// tombstones — serialize [`Dataset::compacted`] instead (the serving-bundle writer
+/// does).
 pub fn dataset_to_bytes(dataset: &Dataset) -> Result<Vec<u8>, DataError> {
+    let mut out = dataset_to_unsealed_bytes(dataset)?;
+    format::append_checksum(&mut out);
+    Ok(out)
+}
+
+/// [`dataset_to_bytes`] without the trailing checksum: for a container that nests the
+/// dataset and computes that checksum together with its own in one pass (see
+/// [`format::seal_nested`]). Appending [`format::append_checksum`] gives the
+/// [`dataset_to_bytes`] bytes.
+pub fn dataset_to_unsealed_bytes(dataset: &Dataset) -> Result<Vec<u8>, DataError> {
     if !dataset.is_compacted() {
         return Err(DataError::Invalid(
-            "snapshots require a compacted dataset; call Dataset::compact() first".to_string(),
+            "snapshots require a compacted dataset; serialize Dataset::compacted()".to_string(),
         ));
     }
     let cols = dataset.columns();
@@ -161,29 +174,17 @@ pub fn dataset_to_bytes(dataset: &Dataset) -> Result<Vec<u8>, DataError> {
     write_dict(&mut out, cols.objects);
     write_dict(&mut out, cols.values);
 
-    let planar_u32 = |col: &mut Vec<u32>, it: &mut dyn Iterator<Item = u32>| {
-        col.clear();
-        col.extend(it);
-    };
-    let mut col: Vec<u32> = Vec::with_capacity(n);
     format::write_offsets(&mut out, cols.by_object_offsets);
-    planar_u32(&mut col, &mut cols.by_object.iter().map(|&(s, _)| s.0));
-    format::write_u32_column(&mut out, &col);
-    planar_u32(&mut col, &mut cols.by_object.iter().map(|&(_, v)| v.0));
-    format::write_u32_column(&mut out, &col);
+    format::write_u32_values(&mut out, || cols.by_object.iter().map(|&(s, _)| s.0));
+    format::write_u32_values(&mut out, || cols.by_object.iter().map(|&(_, v)| v.0));
     format::write_u32_column(&mut out, cols.by_object_seq);
 
     format::write_offsets(&mut out, cols.by_source_offsets);
-    planar_u32(&mut col, &mut cols.by_source.iter().map(|&(o, _)| o.0));
-    format::write_u32_column(&mut out, &col);
-    planar_u32(&mut col, &mut cols.by_source.iter().map(|&(_, v)| v.0));
-    format::write_u32_column(&mut out, &col);
+    format::write_u32_values(&mut out, || cols.by_source.iter().map(|&(o, _)| o.0));
+    format::write_u32_values(&mut out, || cols.by_source.iter().map(|&(_, v)| v.0));
 
     format::write_offsets(&mut out, cols.domain_offsets);
-    planar_u32(&mut col, &mut cols.domains.iter().map(|&v| v.0));
-    format::write_u32_column(&mut out, &col);
-
-    format::append_checksum(&mut out);
+    format::write_u32_values(&mut out, || cols.domains.iter().map(|&v| v.0));
     Ok(out)
 }
 
@@ -202,7 +203,23 @@ fn check_ids(col: &[u32], bound: usize, what: &str) -> Result<(), DataError> {
 /// observation log is scattered back together, so corrupt input can produce an error
 /// but never a panic or an inconsistent dataset.
 pub fn dataset_from_bytes(bytes: &[u8]) -> Result<Dataset, DataError> {
-    let mut cursor = open_container(bytes, &DATASET_MAGIC, DATASET_FORMAT_VERSION)?;
+    dataset_from_container(bytes, format::fnv1a)
+}
+
+/// [`dataset_from_bytes`] for a container whose payload (every byte in front of its
+/// trailer) the caller has hashed already, in the pass that verified an enclosing
+/// container (see [`format::split_nested_checksums`]). `payload_hash` is compared with
+/// the container's stored trailer instead of hashing the payload again; everything
+/// else, including the typed errors, is [`dataset_from_bytes`].
+pub fn dataset_from_prehashed_bytes(bytes: &[u8], payload_hash: u64) -> Result<Dataset, DataError> {
+    dataset_from_container(bytes, |_| payload_hash)
+}
+
+fn dataset_from_container(
+    bytes: &[u8],
+    payload_hash: impl FnOnce(&[u8]) -> u64,
+) -> Result<Dataset, DataError> {
+    let mut cursor = open_container(bytes, &DATASET_MAGIC, DATASET_FORMAT_VERSION, payload_hash)?;
     let max = u32::MAX as usize;
     let num_sources = cursor.read_len(max)?;
     let num_objects = cursor.read_len(max)?;
@@ -259,15 +276,15 @@ pub fn dataset_from_bytes(bytes: &[u8]) -> Result<Dataset, DataError> {
         }
     }
 
-    let zip_pairs =
-        |a: Vec<u32>, b: Vec<u32>| -> Vec<(u32, u32)> { a.into_iter().zip(b).collect() };
-    let by_object = zip_pairs(obj_sources, obj_values)
-        .into_iter()
-        .map(|(s, v)| (SourceId(s), ValueId(v)))
+    let by_object = obj_sources
+        .iter()
+        .zip(&obj_values)
+        .map(|(&s, &v)| (SourceId(s), ValueId(v)))
         .collect();
-    let by_source = zip_pairs(src_objects, src_values)
-        .into_iter()
-        .map(|(o, v)| (ObjectId(o), ValueId(v)))
+    let by_source = src_objects
+        .iter()
+        .zip(&src_values)
+        .map(|(&o, &v)| (ObjectId(o), ValueId(v)))
         .collect();
     let domains = domain_values.into_iter().map(ValueId).collect();
 
@@ -318,7 +335,12 @@ pub fn features_to_bytes(features: &FeatureMatrix) -> Vec<u8> {
 
 /// Deserializes a `SLFF` container back into a [`FeatureMatrix`] (bit-exact values).
 pub fn features_from_bytes(bytes: &[u8]) -> Result<FeatureMatrix, DataError> {
-    let mut cursor = open_container(bytes, &FEATURES_MAGIC, FEATURES_FORMAT_VERSION)?;
+    let mut cursor = open_container(
+        bytes,
+        &FEATURES_MAGIC,
+        FEATURES_FORMAT_VERSION,
+        format::fnv1a,
+    )?;
     let num_sources = cursor.read_len(u32::MAX as usize)?;
     let nnz = cursor.read_len(u32::MAX as usize)?;
     let interner: Interner<FeatureId> = read_dict(&mut cursor, u32::MAX as usize)?;
@@ -593,6 +615,34 @@ mod tests {
         grown.append_named("s4", "o3", "q").unwrap();
         grown.compact();
         assert_eq!(grown.num_observations(), d.num_observations() + 1);
+    }
+
+    #[test]
+    fn unsealed_and_prehashed_entry_points_match_the_standalone_ones() {
+        let d = toy();
+        let unsealed = dataset_to_unsealed_bytes(&d).unwrap();
+        let mut sealed = unsealed.clone();
+        format::append_checksum(&mut sealed);
+        assert_eq!(sealed, dataset_to_bytes(&d).unwrap());
+
+        let hash = format::fnv1a(&unsealed);
+        let back = dataset_from_prehashed_bytes(&sealed, hash).unwrap();
+        assert!(back.same_content(&d));
+        // The passed hash is still compared with the container's own trailer.
+        match dataset_from_prehashed_bytes(&sealed, hash ^ 1) {
+            Err(DataError::CorruptModel { message }) => {
+                assert!(message.contains("checksum mismatch"), "{message}")
+            }
+            other => panic!("expected a checksum mismatch, got {other:?}"),
+        }
+        for len in 0..sealed.len() {
+            let prefix = &sealed[..len];
+            let hash = format::fnv1a(&prefix[..len.saturating_sub(8)]);
+            assert!(
+                dataset_from_prehashed_bytes(prefix, hash).is_err(),
+                "len {len}"
+            );
+        }
     }
 
     #[test]
