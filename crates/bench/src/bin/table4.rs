@@ -3,7 +3,8 @@
 //! the pick was correct, and the relative difference. A τ-robustness sweep follows.
 
 use slimfast_bench::{
-    all_datasets, protocol_for, scale_from_env, slimfast_config_for, HARNESS_SEED,
+    accuracy_diff_pct, all_datasets, protocol_for, scale_from_env, slimfast_config_for,
+    HARNESS_SEED,
 };
 use slimfast_core::{OptimizerDecision, SlimFast};
 use slimfast_data::{FeatureMatrix, FusionInput, FusionMethod, SplitPlan};
@@ -61,7 +62,7 @@ fn main() {
             };
             let best_is_em = em_acc > erm_acc;
             let chosen_em = decision == OptimizerDecision::Em;
-            let diff = (erm_acc - em_acc).abs() / erm_acc.min(em_acc).max(1e-9) * 100.0;
+            let diff = accuracy_diff_pct(erm_acc, em_acc);
             // A decision is "correct" when it picks the better algorithm or the two are
             // effectively tied (within 1% relative), mirroring the paper's reading.
             let correct = chosen_em == best_is_em || diff < 1.0;

@@ -92,6 +92,18 @@ pub fn all_datasets(seed: u64) -> Vec<SyntheticInstance> {
 /// Standard seed used by the experiment binaries so results are reproducible run to run.
 pub const HARNESS_SEED: u64 = 20170514;
 
+/// The gap between two accuracies in percent of the better one: 0 when both are 0, and
+/// at most 100 for accuracies in `[0, 1]`. `table4` prints it as `Diff(%)` and calls a
+/// learner choice within 1% a tie.
+pub fn accuracy_diff_pct(a: f64, b: f64) -> f64 {
+    let best = a.max(b);
+    if best > 0.0 {
+        (a - b).abs() / best * 100.0
+    } else {
+        0.0
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -111,6 +123,18 @@ mod tests {
         if std::env::var("SLIMFAST_SCALE").is_err() {
             assert_eq!(scale_from_env(), Scale::Quick);
         }
+    }
+
+    #[test]
+    fn accuracy_diffs_are_relative_to_the_better_accuracy_and_bounded() {
+        assert_eq!(accuracy_diff_pct(0.0, 0.0), 0.0);
+        assert_eq!(accuracy_diff_pct(0.0, 0.75), 100.0);
+        assert_eq!(accuracy_diff_pct(0.75, 0.0), 100.0);
+        assert_eq!(accuracy_diff_pct(0.6, 0.6), 0.0);
+        assert!((accuracy_diff_pct(0.9, 0.8) - 100.0 / 9.0).abs() < 1e-12);
+        assert_eq!(accuracy_diff_pct(0.8, 0.9), accuracy_diff_pct(0.9, 0.8));
+        // Within the 1% tie rule: 0.995 against 1.0 is a 0.5% gap.
+        assert!((accuracy_diff_pct(1.0, 0.995) - 0.5).abs() < 1e-9);
     }
 
     #[test]

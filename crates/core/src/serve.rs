@@ -148,7 +148,7 @@ pub const SNAPSHOT_FORMAT_VERSION: u32 = 1;
 
 /// The fixed fields of an `SLFS` bundle and where its model and dataset sections lie
 /// in the payload: what [`ModelSnapshot::from_bytes`] reads before it verifies both
-/// checksums, and so before it parses any section.
+/// checksums or parses any section.
 struct BundleFraming {
     epoch: u64,
     claims_ingested: u64,
@@ -320,18 +320,29 @@ impl ModelSnapshot {
 
     /// Deserializes a bundle written by [`ModelSnapshot::to_bytes`].
     ///
-    /// Both checksums are verified before any section is parsed, in one pass: the
+    /// The checksums decide the result before any parsed value is returned. The
     /// bundle's trailer covers every payload byte, and the dataset container's own
-    /// trailer is compared in the same pass, from the section bounds in the bundle's
-    /// bounds-checked framing. The dataset parser then takes that hash instead of
-    /// hashing its container again. When the framing cannot be read, the whole bundle
-    /// is verified first, so a corrupt bundle reports a checksum mismatch.
+    /// trailer is compared in the same pass over its bytes, from the section bounds in
+    /// the bundle's bounds-checked framing. With two execution lanes that check runs on
+    /// a scoped thread beside the parse of the sections, and a mismatch discards
+    /// whatever the parse produced, value or error; with one lane (`SLIMFAST_THREADS=1`,
+    /// a one-core host, or a call from inside a pool worker) the check runs first and
+    /// the sections are parsed only after it passes. Either way an input gives the same
+    /// value or the same error. When the framing cannot be read, the whole bundle is
+    /// verified first, so a corrupt bundle reports a checksum mismatch.
     ///
     /// Corruption anywhere — bad magic, a flipped bit, truncation at any byte,
     /// inconsistent section dimensions — yields [`DataError::CorruptModel`]; a bundle
     /// from a newer library yields [`DataError::UnsupportedModelVersion`]. Never
     /// panics on untrusted input.
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DataError> {
+        Self::decode(bytes, execution_lanes(num_threads(), 2) >= 2)
+    }
+
+    /// [`ModelSnapshot::from_bytes`] with the lane choice made: `side_by_side` checks
+    /// both trailers on a scoped thread while this one parses; otherwise the check
+    /// runs first.
+    fn decode(bytes: &[u8], side_by_side: bool) -> Result<Self, DataError> {
         if bytes.len() < 8 {
             return Err(format::corrupt(
                 "snapshot bundle shorter than the fixed header",
@@ -347,20 +358,34 @@ impl ModelSnapshot {
                 supported: SNAPSHOT_FORMAT_VERSION,
             });
         }
-        let framing = match BundleFraming::read(&bytes[..bytes.len() - 8]) {
+        let payload = &bytes[..bytes.len() - 8];
+        let framing = match BundleFraming::read(payload) {
             Ok(framing) => framing,
             Err(err) => {
                 format::split_checksum(bytes)?;
                 return Err(err);
             }
         };
-        let (payload, dataset_hash) =
-            format::split_nested_checksums(bytes, framing.dataset.clone())?;
-        let model = SlimFastModel::from_bytes(&payload[framing.model])?;
-        let dataset = columnar::dataset_from_prehashed_bytes(
-            &payload[framing.dataset.clone()],
-            dataset_hash,
-        )?;
+        let verify = || format::split_nested_checksums(bytes, framing.dataset.clone());
+        if !side_by_side {
+            verify()?;
+            return Self::parse_sections(payload, &framing);
+        }
+        let (verified, parsed) = std::thread::scope(|scope| {
+            let verifier = scope.spawn(verify);
+            let parsed = Self::parse_sections(payload, &framing);
+            (verifier.join(), parsed)
+        });
+        verified.unwrap_or_else(|panic| std::panic::resume_unwind(panic))?;
+        parsed
+    }
+
+    /// Parses the sections of a bundle payload whose framing has been read. Compares
+    /// no bundle or dataset trailer: [`ModelSnapshot::decode`] does, and drops this
+    /// result on a mismatch.
+    fn parse_sections(payload: &[u8], framing: &BundleFraming) -> Result<Self, DataError> {
+        let model = SlimFastModel::from_bytes(&payload[framing.model.clone()])?;
+        let dataset = columnar::dataset_from_unverified_bytes(&payload[framing.dataset.clone()])?;
         let mut cursor = format::Cursor::new(&payload[framing.dataset.end..]);
         let n = cursor.read_len(cursor.remaining())?;
         let features = columnar::features_from_bytes(cursor.read_exact(n)?)?;
@@ -1583,6 +1608,224 @@ mod tests {
                 assert_checksum_error(ModelSnapshot::from_bytes(&flipped), what);
             }
         }
+    }
+
+    /// Decodes `bytes` with the checksum beside the parse and before it, and asserts
+    /// that both fail with exactly `expected`.
+    fn assert_both_paths_fail(bytes: &[u8], expected: &str, what: &str) {
+        for side_by_side in [true, false] {
+            match ModelSnapshot::decode(bytes, side_by_side) {
+                Err(DataError::CorruptModel { message }) => {
+                    assert_eq!(message, expected, "{what} (side by side: {side_by_side})")
+                }
+                other => panic!(
+                    "{what} (side by side: {side_by_side}): expected '{expected}', got {other:?}"
+                ),
+            }
+        }
+    }
+
+    /// Byte ranges of the blocks of an `SLFD` container in layout order: the
+    /// `by_object` offsets, source, value and seq columns, the `by_source` offsets,
+    /// object and value columns, then the domain offsets and value column.
+    fn dataset_blocks(container: &[u8]) -> Vec<Range<usize>> {
+        let payload = &container[..container.len() - 8];
+        let mut cursor = format::Cursor::new(payload);
+        cursor.read_exact(8).unwrap();
+        for _ in 0..6 {
+            cursor.read_varint().unwrap();
+        }
+        for _ in 0..3 {
+            for _ in 0..cursor.read_varint().unwrap() {
+                cursor.read_str().unwrap();
+            }
+        }
+        let mut blocks = Vec::new();
+        while !cursor.is_empty() {
+            let start = payload.len() - cursor.remaining();
+            cursor.read_block().unwrap();
+            blocks.push(start..payload.len() - cursor.remaining());
+        }
+        assert_eq!(blocks.len(), 9);
+        blocks
+    }
+
+    /// `bundle` with its dataset section replaced by `section`: the section length is
+    /// re-framed, and every trailer stays as it was written.
+    fn with_dataset_section(bundle: &[u8], framing: &BundleFraming, section: &[u8]) -> Vec<u8> {
+        let mut varint = Vec::new();
+        format::write_varint(&mut varint, framing.dataset.len() as u64);
+        let mut out = bundle[..framing.dataset.start - varint.len()].to_vec();
+        format::write_varint(&mut out, section.len() as u64);
+        out.extend_from_slice(section);
+        out.extend_from_slice(&bundle[framing.dataset.end..]);
+        out
+    }
+
+    #[test]
+    fn the_checksum_decides_whatever_the_parse_produced() {
+        let mut serving = serving_fixture(RefitPolicy::Never);
+        serving.publish_now();
+        let snapshot = serving.snapshot();
+        let good = snapshot.to_bytes().unwrap();
+        let framing = BundleFraming::read(&good[..good.len() - 8]).unwrap();
+        let container = &good[framing.dataset.clone()];
+        for side_by_side in [true, false] {
+            let back = ModelSnapshot::decode(&good, side_by_side).unwrap();
+            assert!(back.dataset().same_content(snapshot.dataset()));
+        }
+
+        // Corruption the parser fails on as well, with both trailers as written: the
+        // checksum error is reported, not the parse error.
+        let blocks = dataset_blocks(container);
+        let with_block = |index: usize, block: &[u8]| {
+            let mut section = container[..blocks[index].start].to_vec();
+            section.extend_from_slice(block);
+            section.extend_from_slice(&container[blocks[index].end..]);
+            with_dataset_section(&good, &framing, &section)
+        };
+        let n = snapshot.dataset().num_observations();
+        // The `by_object` value column as one run-length pair (tag 1) whose run is
+        // one longer than the longest run a pair may encode (64 KiB).
+        let mut over_long_run = vec![1];
+        format::write_varint(&mut over_long_run, 4 * n as u64);
+        format::write_varint(&mut over_long_run, (1 << 16) + 1);
+        over_long_run.push(0);
+        // The `by_object` offsets with the last row one claim longer than the column.
+        let mut offsets = format::Cursor::new(&container[blocks[0].clone()])
+            .read_offsets(snapshot.dataset().num_objects(), n as u32)
+            .unwrap();
+        *offsets.last_mut().unwrap() += 1;
+        let mut uncovered = Vec::new();
+        format::write_offsets(&mut uncovered, &offsets);
+        for (what, bundle) in [
+            ("over-long run", with_block(2, &over_long_run)),
+            ("uncovered column", with_block(0, &uncovered)),
+        ] {
+            let framing = BundleFraming::read(&bundle[..bundle.len() - 8]).unwrap();
+            let parsed = ModelSnapshot::parse_sections(&bundle[..bundle.len() - 8], &framing);
+            let err = parsed.expect_err("the parser fails too");
+            assert!(!err.to_string().contains("checksum"), "{what}: {err}");
+            assert_both_paths_fail(&bundle, "checksum mismatch", what);
+        }
+
+        // One flipped bit that still parses: an object renamed to an unused name, and
+        // the last trust byte.
+        let name = [3, b'o', b'1', b'7'];
+        let at = framing.dataset.start
+            + container
+                .windows(name.len())
+                .position(|w| w == name)
+                .expect("object name in the dataset section");
+        for (what, byte, bit) in [("renamed object", at + 1, 0), ("trust", good.len() - 9, 3)] {
+            let mut flipped = good.clone();
+            flipped[byte] ^= 1 << bit;
+            let payload = &flipped[..flipped.len() - 8];
+            assert!(
+                ModelSnapshot::parse_sections(payload, &framing).is_ok(),
+                "{what}"
+            );
+            assert_both_paths_fail(&flipped, "checksum mismatch", what);
+        }
+
+        // Only the nested trailer is wrong, and the bundle trailer is re-stamped over
+        // it: the nested comparison reports it.
+        let mut nested = good.clone();
+        nested[framing.dataset.end - 1] ^= 0x80;
+        restamp(&mut nested);
+        assert!(ModelSnapshot::parse_sections(&nested[..nested.len() - 8], &framing).is_ok());
+        assert_both_paths_fail(
+            &nested,
+            "nested container checksum mismatch",
+            "nested trailer",
+        );
+    }
+
+    /// A small seeded generator (SplitMix64) for the damage tests.
+    struct SplitMix(u64);
+
+    impl SplitMix {
+        fn below(&mut self, bound: usize) -> usize {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        }
+    }
+
+    #[test]
+    fn random_damage_is_a_checksum_error_and_never_a_panic() {
+        let mut serving = serving_fixture(RefitPolicy::Never);
+        serving.ingest(&claims(0, 30)).unwrap();
+        serving.publish_now();
+        let good = serving.snapshot().to_bytes().unwrap();
+        let mut rng = SplitMix(0x00DA_3A6E);
+        let (mut restamped_ok, mut restamped_err) = (0, 0);
+        for case in 0..600 {
+            // 1–3 distinct bit flips after the fixed header, which is checked before
+            // any checksum, or a truncation that keeps the header.
+            let mut damaged = good.clone();
+            if case % 4 == 3 {
+                damaged.truncate(8 + rng.below(good.len() - 8));
+            } else {
+                let mut bits: Vec<usize> = Vec::new();
+                while bits.len() < 1 + case % 3 {
+                    let bit = 64 + rng.below(8 * (good.len() - 8));
+                    if !bits.contains(&bit) {
+                        bits.push(bit);
+                    }
+                }
+                for bit in bits {
+                    damaged[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+            let what = format!("case {case}");
+            assert_both_paths_fail(&damaged, "checksum mismatch", &what);
+
+            // The same bytes as a payload under freshly stamped trailers, the nested one
+            // included when the damaged framing still finds a dataset section: a value
+            // or an error, the same through both paths, and never a panic.
+            if case % 4 != 3 {
+                damaged.truncate(damaged.len() - 8);
+            }
+            match BundleFraming::read(&damaged) {
+                Ok(framing) => format::seal_nested(&mut damaged, framing.dataset),
+                Err(_) => format::append_checksum(&mut damaged),
+            }
+            let side_by_side = ModelSnapshot::decode(&damaged, true);
+            let serial = ModelSnapshot::decode(&damaged, false);
+            match (&side_by_side, &serial) {
+                (Ok(a), Ok(b)) => {
+                    assert_eq!(a.to_bytes().ok(), b.to_bytes().ok(), "{what}");
+                    restamped_ok += 1;
+                }
+                (Err(a), Err(b)) => {
+                    assert_eq!(a.to_string(), b.to_string(), "{what}");
+                    restamped_err += 1;
+                }
+                _ => panic!("{what}: {side_by_side:?} vs {serial:?}"),
+            }
+        }
+        assert!(
+            restamped_ok > 0 && restamped_err > 0,
+            "{restamped_ok} / {restamped_err}"
+        );
+    }
+
+    #[test]
+    fn a_label_for_an_unseen_object_still_checkpoints_readably() {
+        let mut serving = serving_fixture(RefitPolicy::Never);
+        serving.label("never-claimed", "v0");
+        serving.publish_now();
+        let snapshot = serving.snapshot();
+        let bytes = snapshot.to_bytes().unwrap();
+        let back = ModelSnapshot::from_bytes(&bytes).unwrap();
+        assert!(back.dataset().same_content(snapshot.dataset()));
+        assert_eq!(
+            back.dataset().object_id("never-claimed"),
+            snapshot.dataset().object_id("never-claimed")
+        );
     }
 
     /// The compaction the bundle writer ran before merge compaction: rebuild the live

@@ -815,13 +815,18 @@ impl Dataset {
         self.compactions
     }
 
-    /// Whether the dataset carries no delta: every accessor reads base CSR arrays.
+    /// Whether the dataset carries no delta: every accessor reads base CSR arrays,
+    /// which have a row for every handle. A name interned since the last compaction
+    /// without a claim (a label for an object no source has named) has no base row
+    /// yet, so it leaves the dataset uncompacted until [`Dataset::compact`] adds one.
     pub fn is_compacted(&self) -> bool {
         self.delta.pending == 0
             && self.num_dead == 0
             && self.delta.objects.is_empty()
             && self.delta.sources.is_empty()
             && self.delta.domains.is_empty()
+            && self.by_object_offsets.len() == self.num_objects + 1
+            && self.by_source_offsets.len() == self.num_sources + 1
     }
 
     /// The dataset with its delta log folded into the base CSR arrays: tombstoned log
@@ -1338,7 +1343,7 @@ impl DatasetBuilder {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn toy() -> Dataset {
@@ -1731,77 +1736,94 @@ mod tests {
         );
     }
 
+    /// A random dataset history: a built base with reserved handles past the named
+    /// ones, then appends, single and batched evictions (with duplicate and missing
+    /// pairs), re-asserted claims, newly interned names and mid-stream compactions.
+    /// `on_compact(before, merged, step)` sees each mid-stream compaction.
+    pub(crate) fn random_history(
+        rng: &mut rand::rngs::StdRng,
+        mut on_compact: impl FnMut(&Dataset, &Dataset, usize),
+    ) -> Dataset {
+        use rand::rngs::StdRng;
+        use rand::Rng;
+
+        let (sources, objects) = (rng.gen_range(1..9usize), rng.gen_range(1..14usize));
+        let claim = |rng: &mut StdRng, extra: usize| {
+            (
+                format!("s{}", rng.gen_range(0..sources + extra)),
+                format!("o{}", rng.gen_range(0..objects + extra)),
+                format!("v{}", rng.gen_range(0..4u8)),
+            )
+        };
+        let mut b = DatasetBuilder::new();
+        for _ in 0..rng.gen_range(0..50usize) {
+            let (s, o, v) = claim(rng, 0);
+            let _ = b.observe(&s, &o, &v);
+        }
+        // Reserved handles with no claims, past the named ones.
+        b.reserve_sources(rng.gen_range(0..sources + 3));
+        b.reserve_objects(rng.gen_range(0..objects + 3));
+        let mut d = b.build();
+
+        for step in 0..rng.gen_range(1..80usize) {
+            let live: Vec<(SourceId, ObjectId, ValueId)> = d
+                .live_observations()
+                .map(|obs| (obs.source, obs.object, obs.value))
+                .collect();
+            let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
+            match rng.gen_range(0..10u8) {
+                0..=3 => {
+                    let (s, o, v) = claim(rng, 3);
+                    let _ = d.append_named(&s, &o, &v);
+                }
+                4 if !live.is_empty() => {
+                    let (s, o, _) = pick(rng);
+                    assert!(d.evict(s, o));
+                }
+                5 if !live.is_empty() => {
+                    // A batch with duplicates and a pair that has no claim.
+                    let mut batch: Vec<(SourceId, ObjectId)> = (0..rng.gen_range(1..6))
+                        .map(|_| {
+                            let (s, o, _) = pick(rng);
+                            (s, o)
+                        })
+                        .collect();
+                    batch.push(batch[0]);
+                    batch.push((SourceId::new(d.num_sources() + 1), ObjectId::new(0)));
+                    d.evict_batch(&batch);
+                }
+                6 if !live.is_empty() => {
+                    // Re-asserted: evicted, then claimed again at the log's end.
+                    let (s, o, v) = pick(rng);
+                    d.evict(s, o);
+                    assert!(d.append_ids(s, o, v).unwrap().is_some());
+                }
+                7 => {
+                    d.intern_source(&format!("reserved-s{step}"));
+                    d.intern_object(&format!("reserved-o{step}"));
+                }
+                8 if rng.gen_bool(0.3) => {
+                    let merged = d.compacted();
+                    on_compact(&d, &merged, step);
+                    d = merged;
+                }
+                _ => {}
+            }
+        }
+        d
+    }
+
     #[test]
     fn merge_compaction_equals_reindex_on_every_array() {
         use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
+        use rand::SeedableRng;
 
         let mut rng = StdRng::seed_from_u64(0xC0_4AC7);
         for case in 0..400 {
-            let (sources, objects) = (rng.gen_range(1..9usize), rng.gen_range(1..14usize));
-            let claim = |rng: &mut StdRng, extra: usize| {
-                (
-                    format!("s{}", rng.gen_range(0..sources + extra)),
-                    format!("o{}", rng.gen_range(0..objects + extra)),
-                    format!("v{}", rng.gen_range(0..4u8)),
-                )
-            };
-            let mut b = DatasetBuilder::new();
-            for _ in 0..rng.gen_range(0..50usize) {
-                let (s, o, v) = claim(&mut rng, 0);
-                let _ = b.observe(&s, &o, &v);
-            }
-            // Reserved handles with no claims, past the named ones.
-            b.reserve_sources(rng.gen_range(0..sources + 3));
-            b.reserve_objects(rng.gen_range(0..objects + 3));
-            let mut d = b.build();
-
-            for step in 0..rng.gen_range(1..80usize) {
-                let live: Vec<(SourceId, ObjectId, ValueId)> = d
-                    .live_observations()
-                    .map(|obs| (obs.source, obs.object, obs.value))
-                    .collect();
-                let pick = |rng: &mut StdRng| live[rng.gen_range(0..live.len())];
-                match rng.gen_range(0..10u8) {
-                    0..=3 => {
-                        let (s, o, v) = claim(&mut rng, 3);
-                        let _ = d.append_named(&s, &o, &v);
-                    }
-                    4 if !live.is_empty() => {
-                        let (s, o, _) = pick(&mut rng);
-                        assert!(d.evict(s, o));
-                    }
-                    5 if !live.is_empty() => {
-                        // A batch with duplicates and a pair that has no claim.
-                        let mut batch: Vec<(SourceId, ObjectId)> = (0..rng.gen_range(1..6))
-                            .map(|_| {
-                                let (s, o, _) = pick(&mut rng);
-                                (s, o)
-                            })
-                            .collect();
-                        batch.push(batch[0]);
-                        batch.push((SourceId::new(d.num_sources() + 1), ObjectId::new(0)));
-                        d.evict_batch(&batch);
-                    }
-                    6 if !live.is_empty() => {
-                        // Re-asserted: evicted, then claimed again at the log's end.
-                        let (s, o, v) = pick(&mut rng);
-                        d.evict(s, o);
-                        assert!(d.append_ids(s, o, v).unwrap().is_some());
-                    }
-                    7 => {
-                        d.intern_source(&format!("reserved-s{step}"));
-                        d.intern_object(&format!("reserved-o{step}"));
-                    }
-                    8 if rng.gen_bool(0.3) => {
-                        let what = format!("case {case} step {step}");
-                        let merged = d.compacted();
-                        assert_identical(&merged, &compacted_by_reindex(&d), &what);
-                        d = merged;
-                    }
-                    _ => {}
-                }
-            }
+            let mut d = random_history(&mut rng, |before, merged, step| {
+                let what = format!("case {case} step {step}");
+                assert_identical(merged, &compacted_by_reindex(before), &what);
+            });
             let what = format!("case {case}");
             let reference = compacted_by_reindex(&d);
             let before = full_index_passes();

@@ -7,11 +7,13 @@
 //!
 //! * **FNV-1a 64 checksums** ([`fnv1a`], [`append_checksum`], [`split_checksum`]):
 //!   every top-level artifact ends in a little-endian FNV-1a 64 hash of all preceding
-//!   bytes, verified before any payload is parsed. A blob that nests another
+//!   bytes, and the checksum decides a read before any parsed value is returned. The
+//!   standalone readers verify it before they parse. A blob that nests another
 //!   checksummed container ([`seal_nested`], [`split_nested_checksums`]) keeps both
 //!   trailers but hashes each byte once: FNV-1a is one multiply per byte, bound by
 //!   the multiply's latency, so a second independent chain in the same loop costs
-//!   next to nothing.
+//!   next to nothing. Its reader may run that check on a second lane beside the
+//!   parse, and then drops whatever the parse produced when either trailer disagrees.
 //! * **LEB128 varints** ([`write_varint`], [`Cursor::read_varint`]): counts and
 //!   lengths are written as unsigned LEB128, so small values (the common case for
 //!   entity counts and string lengths) cost one byte.
@@ -106,18 +108,8 @@ fn split_trailer(bytes: &[u8]) -> Result<(&[u8], u64), DataError> {
 /// Verifies the trailing [`append_checksum`] of a blob and returns the payload in
 /// front of it. Fails with [`DataError::CorruptModel`] on truncation or mismatch.
 pub fn split_checksum(bytes: &[u8]) -> Result<&[u8], DataError> {
-    split_prehashed(bytes, fnv1a)
-}
-
-/// [`split_checksum`] for a caller that may already hold the payload's hash:
-/// `payload_hash` computes it from the payload (or returns the one computed earlier),
-/// and only its comparison with the stored trailer decides.
-pub(crate) fn split_prehashed(
-    bytes: &[u8],
-    payload_hash: impl FnOnce(&[u8]) -> u64,
-) -> Result<&[u8], DataError> {
     let (payload, stored) = split_trailer(bytes)?;
-    if payload_hash(payload) != stored {
+    if fnv1a(payload) != stored {
         return Err(corrupt("checksum mismatch"));
     }
     Ok(payload)
@@ -160,16 +152,11 @@ pub fn seal_nested(bytes: &mut Vec<u8>, nested: Range<usize>) {
 
 /// Reader side of [`seal_nested`]: verifies a blob's trailing checksum and the trailer
 /// of the container nested at `nested` (a range of the payload, trailer included),
-/// hashing each payload byte once. Returns the payload in front of the blob's trailer
-/// and the hash of the nested container's payload, for a reader of that container
-/// that should not hash it again.
+/// hashing each payload byte once. Returns the payload in front of the blob's trailer.
 ///
 /// Fails with a "checksum mismatch" [`DataError::CorruptModel`] when either trailer
 /// disagrees, and with a [`DataError::CorruptModel`] when `nested` does not fit.
-pub fn split_nested_checksums(
-    bytes: &[u8],
-    nested: Range<usize>,
-) -> Result<(&[u8], u64), DataError> {
+pub fn split_nested_checksums(bytes: &[u8], nested: Range<usize>) -> Result<&[u8], DataError> {
     let (payload, stored) = split_trailer(bytes)?;
     if nested.start.saturating_add(8) > nested.end || nested.end > payload.len() {
         return Err(corrupt(
@@ -185,7 +172,7 @@ pub fn split_nested_checksums(
     if inner != nested_stored {
         return Err(corrupt("nested container checksum mismatch"));
     }
-    Ok((payload, inner))
+    Ok(payload)
 }
 
 /// Appends `value` as an unsigned LEB128 varint (1–10 bytes).
@@ -365,6 +352,13 @@ pub fn write_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
+/// The little-endian `u32` values of a [`write_u32_column`] payload.
+pub(crate) fn le_u32s(payload: &[u8]) -> impl Iterator<Item = u32> + '_ {
+    payload
+        .chunks_exact(4)
+        .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+}
+
 /// A bounds-checked reader over a byte slice. Every method fails with a typed
 /// [`DataError::CorruptModel`] instead of panicking, whatever the input.
 #[derive(Debug, Clone)]
@@ -450,58 +444,114 @@ impl<'a> Cursor<'a> {
     pub fn read_block(&mut self) -> Result<Cow<'a, [u8]>, DataError> {
         let tag = self.read_u8()?;
         let raw_len = self.read_len(usize::MAX)?;
-        self.read_block_body(tag, raw_len)
+        if tag == BLOCK_RAW {
+            return Ok(Cow::Borrowed(self.read_exact(raw_len)?));
+        }
+        let mut out = Vec::new();
+        self.read_block_body(tag, raw_len, &mut out)?;
+        Ok(Cow::Owned(out))
     }
 
-    /// Reads the body of a block whose tag and declared length were just read. An RLE
-    /// body grows run by run, so its allocation is backed by input bytes actually read.
-    fn read_block_body(&mut self, tag: u8, raw_len: usize) -> Result<Cow<'a, [u8]>, DataError> {
+    /// Reads the body of a block whose tag and declared length were just read: a raw
+    /// body is borrowed from the input, a run-length encoded one is decoded into
+    /// `scratch` (its old contents are overwritten).
+    fn read_block_body<'s>(
+        &mut self,
+        tag: u8,
+        raw_len: usize,
+        scratch: &'s mut Vec<u8>,
+    ) -> Result<&'s [u8], DataError>
+    where
+        'a: 's,
+    {
         match tag {
-            BLOCK_RAW => Ok(Cow::Borrowed(self.read_exact(raw_len)?)),
+            BLOCK_RAW => self.read_exact(raw_len),
             BLOCK_RLE => {
-                let mut out = Vec::new();
-                while out.len() < raw_len {
-                    let run = self.read_len(raw_len - out.len())?;
-                    if run == 0 || run > RLE_MAX_RUN {
-                        return Err(corrupt("invalid RLE run length"));
-                    }
-                    let byte = self.read_u8()?;
-                    out.resize(out.len() + run, byte);
-                }
-                Ok(Cow::Owned(out))
+                self.read_rle(raw_len, scratch)?;
+                Ok(scratch)
             }
             _ => Err(corrupt("unknown block tag")),
         }
     }
 
-    /// Reads a block that must hold `len` values of `width` bytes each, checking the
-    /// declared length before any of the body is decoded.
-    fn read_column_block(
+    /// Decodes a run-length encoded body of `raw_len` bytes into `out`, which ends
+    /// holding exactly those bytes. `out` grows with the runs decoded so far, never to
+    /// the declared length up front (two input bytes can declare 64 KiB), so its size
+    /// is backed by input actually read, and never past the declared length and one
+    /// store. A buffer reused from an earlier body is overwritten without being
+    /// cleared.
+    fn read_rle(&mut self, raw_len: usize, out: &mut Vec<u8>) -> Result<(), DataError> {
+        // Runs are written in fixed-width stores of their byte, the last of which may
+        // spill past the run (the next run or the final truncation overwrites it), so
+        // `out` keeps this much room past the current run.
+        const STORE: usize = 16;
+        let mut filled = 0;
+        while filled < raw_len {
+            let left = raw_len - filled;
+            let (run, byte) = match self.bytes.get(self.pos..self.pos + 2) {
+                // A run below 128 is a one-byte varint: no `read_len` needed.
+                Some(&[run, byte]) if run != 0 && run < 0x80 && usize::from(run) <= left => {
+                    self.pos += 2;
+                    (usize::from(run), byte)
+                }
+                _ => {
+                    let run = self.read_len(left)?;
+                    if run == 0 || run > RLE_MAX_RUN {
+                        return Err(corrupt("invalid RLE run length"));
+                    }
+                    (run, self.read_u8()?)
+                }
+            };
+            let end = filled + run;
+            if out.len() < end + STORE {
+                let grown = (2 * out.len())
+                    .max(end + STORE)
+                    .min(raw_len.saturating_add(STORE));
+                out.resize(grown, 0);
+            }
+            let splat = [byte; STORE];
+            while filled < end {
+                out[filled..filled + STORE].copy_from_slice(&splat);
+                filled += STORE;
+            }
+            filled = end;
+        }
+        out.truncate(raw_len);
+        Ok(())
+    }
+
+    /// Reads a column block of `len` values of `width` bytes each, checking the
+    /// declared length before any of the body is decoded. A raw body is borrowed from
+    /// the input; a run-length encoded one is decoded into `scratch`, which a reader of
+    /// several columns reuses from one column to the next.
+    pub(crate) fn read_column<'s>(
         &mut self,
         len: usize,
         width: usize,
         what: &str,
-    ) -> Result<Cow<'a, [u8]>, DataError> {
+        scratch: &'s mut Vec<u8>,
+    ) -> Result<&'s [u8], DataError>
+    where
+        'a: 's,
+    {
         let tag = self.read_u8()?;
         let raw_len = self.read_len(usize::MAX)?;
         if len.checked_mul(width) != Some(raw_len) {
             return Err(corrupt(format!("{what} column length mismatch")));
         }
-        self.read_block_body(tag, raw_len)
+        self.read_block_body(tag, raw_len, scratch)
     }
 
     /// Reads a [`write_u32_column`] block of exactly `len` values.
     pub fn read_u32_column(&mut self, len: usize) -> Result<Vec<u32>, DataError> {
-        let payload = self.read_column_block(len, 4, "u32")?;
-        Ok(payload
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
-            .collect())
+        let mut scratch = Vec::new();
+        Ok(le_u32s(self.read_column(len, 4, "u32", &mut scratch)?).collect())
     }
 
     /// Reads a [`write_f64_column`] block of exactly `len` values (bit-exact).
     pub fn read_f64_column(&mut self, len: usize) -> Result<Vec<f64>, DataError> {
-        let payload = self.read_column_block(len, 8, "f64")?;
+        let mut scratch = Vec::new();
+        let payload = self.read_column(len, 8, "f64", &mut scratch)?;
         Ok(payload
             .chunks_exact(8)
             .map(|c| f64::from_le_bytes(c.try_into().expect("8-byte chunk")))
@@ -690,9 +740,12 @@ mod tests {
 
     /// The writers as they were before blocks were chosen by counting: a trial RLE
     /// encoding of the whole payload, kept when strictly shorter. The writers must emit
-    /// exactly these bytes.
+    /// exactly these bytes. Beside them, the block readers as they were before the
+    /// one-byte run path, which the readers must match byte for byte and error for
+    /// error.
     mod reference {
-        use super::super::{write_varint, BLOCK_RAW, BLOCK_RLE, RLE_MAX_RUN};
+        use super::super::{corrupt, write_varint, Cursor, BLOCK_RAW, BLOCK_RLE, RLE_MAX_RUN};
+        use crate::error::DataError;
 
         pub fn rle_encode(payload: &[u8]) -> Vec<u8> {
             let mut out = Vec::new();
@@ -739,6 +792,50 @@ mod tests {
                 write_varint(&mut payload, u64::from(pair[1] - pair[0]));
             }
             write_block(out, &payload);
+        }
+
+        /// The block body reader before the one-byte run path and the reused buffer:
+        /// one `read_len` and one `resize` per run, into a fresh buffer.
+        fn read_body(
+            cursor: &mut Cursor<'_>,
+            tag: u8,
+            raw_len: usize,
+        ) -> Result<Vec<u8>, DataError> {
+            match tag {
+                BLOCK_RAW => Ok(cursor.read_exact(raw_len)?.to_vec()),
+                BLOCK_RLE => {
+                    let mut out = Vec::new();
+                    while out.len() < raw_len {
+                        let run = cursor.read_len(raw_len - out.len())?;
+                        if run == 0 || run > RLE_MAX_RUN {
+                            return Err(corrupt("invalid RLE run length"));
+                        }
+                        let byte = cursor.read_u8()?;
+                        out.resize(out.len() + run, byte);
+                    }
+                    Ok(out)
+                }
+                _ => Err(corrupt("unknown block tag")),
+            }
+        }
+
+        pub fn read_block(cursor: &mut Cursor<'_>) -> Result<Vec<u8>, DataError> {
+            let tag = cursor.read_u8()?;
+            let raw_len = cursor.read_len(usize::MAX)?;
+            read_body(cursor, tag, raw_len)
+        }
+
+        pub fn read_u32_column(cursor: &mut Cursor<'_>, len: usize) -> Result<Vec<u32>, DataError> {
+            let tag = cursor.read_u8()?;
+            let raw_len = cursor.read_len(usize::MAX)?;
+            if len.checked_mul(4) != Some(raw_len) {
+                return Err(corrupt("u32 column length mismatch"));
+            }
+            let payload = read_body(cursor, tag, raw_len)?;
+            Ok(payload
+                .chunks_exact(4)
+                .map(|c| u32::from_le_bytes(c.try_into().expect("4-byte chunk")))
+                .collect())
         }
     }
 
@@ -790,6 +887,32 @@ mod tests {
         payload
     }
 
+    /// `u32` values whose little-endian bytes run across value boundaries, in columns
+    /// long enough to cross the writer's stack-buffer chunks.
+    fn u32_column(rng: &mut StdRng, case: usize) -> Vec<u32> {
+        let pool = [
+            0u32,
+            1,
+            256,
+            0x0101_0101,
+            0x0100_0000,
+            u32::MAX,
+            0x00FF_FF00,
+        ];
+        let len = [0, 1, 3, 1023, 1024, 1025, 2500][rng.gen_range(0..7usize)];
+        let mut values = Vec::with_capacity(len);
+        while values.len() < len {
+            let value = if rng.gen_bool(0.1) {
+                rng.gen_range(0..u32::MAX)
+            } else {
+                pool[rng.gen_range(0..pool.len())]
+            };
+            let repeat = rng.gen_range(1..=[1usize, 4, 700][case % 3]);
+            values.extend(std::iter::repeat(value).take(repeat.min(len - values.len())));
+        }
+        values
+    }
+
     #[test]
     fn writers_emit_the_trial_encoders_bytes() {
         let mut rng = StdRng::seed_from_u64(0x5EED_B10C);
@@ -825,28 +948,8 @@ mod tests {
             );
             assert_eq!(Cursor::new(&out[1..]).read_block().unwrap(), payload);
 
-            // u32 values whose little-endian bytes run across value boundaries, in
-            // columns long enough to cross the writer's stack-buffer chunks.
-            let pool = [
-                0u32,
-                1,
-                256,
-                0x0101_0101,
-                0x0100_0000,
-                u32::MAX,
-                0x00FF_FF00,
-            ];
-            let len = [0, 1, 3, 1023, 1024, 1025, 2500][rng.gen_range(0..7usize)];
-            let mut values = Vec::with_capacity(len);
-            while values.len() < len {
-                let value = if rng.gen_bool(0.1) {
-                    rng.gen_range(0..u32::MAX)
-                } else {
-                    pool[rng.gen_range(0..pool.len())]
-                };
-                let repeat = rng.gen_range(1..=[1usize, 4, 700][case % 3]);
-                values.extend(std::iter::repeat(value).take(repeat.min(len - values.len())));
-            }
+            let values = u32_column(&mut rng, case);
+            let len = values.len();
             let out = written(write_u32_column, &values[..]);
             assert_eq!(
                 out,
@@ -885,6 +988,114 @@ mod tests {
         }
     }
 
+    /// A hand-built run-length encoded block: short runs that cross `u32` value
+    /// boundaries, multi-byte run varints (runs of 128 up to [`RLE_MAX_RUN`]), a
+    /// one-byte run written as a two-byte varint, zero runs, runs over the longest
+    /// run, runs past the declared length, bodies that run out (declaring up to
+    /// `usize::MAX` bytes), and truncated pairs.
+    fn crafted_rle_block(rng: &mut StdRng) -> Vec<u8> {
+        let mut body = Vec::new();
+        let mut total = 0usize;
+        for _ in 0..rng.gen_range(0..30usize) {
+            let run = match rng.gen_range(0..16u8) {
+                0 => 0,
+                1 | 2 => rng.gen_range(128..=RLE_MAX_RUN),
+                3 => RLE_MAX_RUN + rng.gen_range(1..=3usize),
+                _ => rng.gen_range(1..=9usize),
+            };
+            if run < 0x80 && rng.gen_bool(0.05) {
+                body.extend_from_slice(&[0x80 | run as u8, 0]);
+            } else {
+                write_varint(&mut body, run as u64);
+            }
+            body.push(rng.gen_range(0..3u8));
+            total += run;
+        }
+        let declared = match rng.gen_range(0..5u8) {
+            0 | 1 => total,
+            2 => total.saturating_sub(rng.gen_range(1..6usize)),
+            3 => total + rng.gen_range(1..6usize),
+            _ => usize::MAX - rng.gen_range(0..20usize),
+        };
+        if rng.gen_bool(0.1) {
+            body.pop();
+        }
+        let mut block = vec![BLOCK_RLE];
+        write_varint(&mut block, declared as u64);
+        block.extend_from_slice(&body);
+        block
+    }
+
+    #[test]
+    fn decoder_matches_the_run_by_run_reference() {
+        // The decoded bytes and the input consumed, or the error message.
+        type Outcome<T> = Result<(T, usize), String>;
+        fn outcome<T>(result: Result<T, DataError>, cursor: &Cursor<'_>) -> Outcome<T> {
+            result
+                .map(|value| (value, cursor.pos))
+                .map_err(|err| err.to_string())
+        }
+
+        let mut rng = StdRng::seed_from_u64(0xDEC0_DE12);
+        // One buffer for the whole run, as a dataset reader reuses it across columns:
+        // bytes left from an earlier case must never leak into a later one.
+        let mut scratch = Vec::new();
+        let mut rle_blocks = 0;
+        for case in 0..3_000usize {
+            let mut block = Vec::new();
+            match case % 3 {
+                0 => {
+                    let runs = rng.gen_range(0..200usize);
+                    let max = [1usize, 4, 200][rng.gen_range(0..3usize)];
+                    let payload = runs_payload(&mut rng, runs, 4, |r| r.gen_range(1..=max));
+                    write_block(&mut block, &payload);
+                }
+                1 => write_u32_column(&mut block, &u32_column(&mut rng, case)),
+                _ => block = crafted_rle_block(&mut rng),
+            }
+            if case % 3 != 2 && rng.gen_bool(0.2) {
+                block.truncate(rng.gen_range(0..=block.len()));
+            }
+            rle_blocks += usize::from(block.first() == Some(&BLOCK_RLE));
+
+            let mut fast = Cursor::new(&block);
+            let got = fast.read_block().map(|body| body.into_owned());
+            let mut slow = Cursor::new(&block);
+            let want = reference::read_block(&mut slow);
+            assert_eq!(
+                outcome(got, &fast),
+                outcome(want, &slow),
+                "block case {case}"
+            );
+
+            // As a u32 column: exact lengths, and lengths the block does not declare.
+            let declared = Cursor::new(&block)
+                .read_block()
+                .map_or(block.len(), |body| body.len());
+            let len = declared / 4 + usize::from(case % 7 == 0);
+            let mut fast = Cursor::new(&block);
+            let got = fast
+                .read_column(len, 4, "u32", &mut scratch)
+                .map(|body| le_u32s(body).collect::<Vec<_>>());
+            let mut slow = Cursor::new(&block);
+            let want = reference::read_u32_column(&mut slow, len);
+            assert_eq!(
+                outcome(got, &fast),
+                outcome(want, &slow),
+                "column case {case}"
+            );
+            assert_eq!(
+                Cursor::new(&block)
+                    .read_u32_column(len)
+                    .map_err(|e| e.to_string()),
+                reference::read_u32_column(&mut Cursor::new(&block), len)
+                    .map_err(|e| e.to_string()),
+                "owned column case {case}"
+            );
+        }
+        assert!(rle_blocks > 1_000, "{rle_blocks} run-length encoded blocks");
+    }
+
     #[test]
     fn ties_stay_raw_and_one_byte_less_goes_rle() {
         let tag = |payload: &[u8]| written(write_block, payload)[1];
@@ -919,6 +1130,19 @@ mod tests {
         assert!(Cursor::new(&huge)
             .read_f64_column(u32::MAX as usize)
             .is_err());
+        // 2^40 declared bytes over a 4-byte body: reserving the declared length up front
+        // would abort the process; growing with the runs fails when they run out.
+        let mut huge = vec![BLOCK_RLE];
+        write_varint(&mut huge, 1 << 40);
+        huge.extend_from_slice(&[2, 0, 2, 1]);
+        let values = 1usize << 38;
+        assert!(Cursor::new(&huge).read_u32_column(values).is_err());
+        let mut scratch = Vec::new();
+        let err = Cursor::new(&huge)
+            .read_column(values, 4, "u32", &mut scratch)
+            .unwrap_err();
+        assert!(err.to_string().contains("truncated"), "{err}");
+        assert!(scratch.len() <= 64, "grew to {} bytes", scratch.len());
         let mut offsets = vec![BLOCK_RAW];
         write_varint(&mut offsets, 2);
         offsets.extend_from_slice(&[1, 1]);
@@ -947,9 +1171,8 @@ mod tests {
         append_checksum(&mut twice);
         assert_eq!(sealed, twice);
 
-        let (payload, hash) = split_nested_checksums(&sealed, nested.clone()).unwrap();
+        let payload = split_nested_checksums(&sealed, nested.clone()).unwrap();
         assert_eq!(payload, &sealed[..sealed.len() - 8]);
-        assert_eq!(hash, fnv1a(b"nested payload bytes"));
         for byte in 0..sealed.len() {
             let mut bad = sealed.clone();
             bad[byte] ^= 0x20;

@@ -45,9 +45,11 @@
 //! Readers accept every container version up to the current one; the version constants
 //! only move when the layout changes, and old versions stay readable (the same promise
 //! `SlimFastModel::from_bytes` makes for model blobs). Every reader validates the
-//! trailing checksum and every structural invariant before constructing a value:
-//! corrupt or truncated input fails with typed [`DataError::CorruptModel`] /
-//! [`DataError::UnsupportedModelVersion`] errors, never a panic.
+//! trailing checksum and every structural invariant before constructing a value
+//! ([`dataset_from_unverified_bytes`] leaves the checksum to a caller that compares
+//! it on another lane): corrupt or truncated input fails with typed
+//! [`DataError::CorruptModel`] / [`DataError::UnsupportedModelVersion`] errors, never
+//! a panic.
 //!
 //! # Write atomicity
 //!
@@ -108,15 +110,14 @@ fn read_dict<Id: Copy + From<usize> + crate::ids::IdLike>(
     Ok(interner)
 }
 
-/// Checks the magic/version header shared by both containers and the trailing
-/// checksum, which `payload_hash` computes from the payload in front of it (or
-/// returns, when the caller hashed that payload already). Returns the cursor
-/// positioned after the header.
+/// Checks the magic/version header shared by both containers and, when `verify` is
+/// set, the trailing checksum. Returns a cursor over the payload in front of the
+/// trailer, positioned after the header.
 fn open_container<'a>(
     bytes: &'a [u8],
     magic: &[u8; 4],
     supported: u32,
-    payload_hash: impl FnOnce(&[u8]) -> u64,
+    verify: bool,
 ) -> Result<Cursor<'a>, DataError> {
     if bytes.len() < 8 || &bytes[..4] != magic {
         return Err(corrupt("bad magic: not a snapshot container"));
@@ -128,9 +129,13 @@ fn open_container<'a>(
             supported,
         });
     }
-    let payload = format::split_prehashed(bytes, payload_hash)?;
+    let payload = if verify {
+        format::split_checksum(bytes)?
+    } else {
+        &bytes[..bytes.len() - 8]
+    };
     let mut cursor = Cursor::new(payload);
-    cursor.read_exact(8).expect("header length checked");
+    cursor.read_exact(8)?; // the header, when the trailer leaves room for it
     Ok(cursor)
 }
 
@@ -190,10 +195,16 @@ pub fn dataset_to_unsealed_bytes(dataset: &Dataset) -> Result<Vec<u8>, DataError
 
 /// Validates that every entry of `col` is below `bound`.
 fn check_ids(col: &[u32], bound: usize, what: &str) -> Result<(), DataError> {
-    if col.iter().any(|&id| (id as usize) >= bound) {
-        return Err(corrupt(format!("{what} handle out of range")));
+    check_range(col.iter().all(|&id| (id as usize) < bound), what)
+}
+
+/// The error of a handle column with an entry at or past its bound.
+fn check_range(in_range: bool, what: &str) -> Result<(), DataError> {
+    if in_range {
+        Ok(())
+    } else {
+        Err(corrupt(format!("{what} handle out of range")))
     }
-    Ok(())
 }
 
 /// Deserializes a `SLFD` container back into a compacted [`Dataset`].
@@ -203,23 +214,50 @@ fn check_ids(col: &[u32], bound: usize, what: &str) -> Result<(), DataError> {
 /// observation log is scattered back together, so corrupt input can produce an error
 /// but never a panic or an inconsistent dataset.
 pub fn dataset_from_bytes(bytes: &[u8]) -> Result<Dataset, DataError> {
-    dataset_from_container(bytes, format::fnv1a)
+    dataset_from_container(bytes, true)
 }
 
-/// [`dataset_from_bytes`] for a container whose payload (every byte in front of its
-/// trailer) the caller has hashed already, in the pass that verified an enclosing
-/// container (see [`format::split_nested_checksums`]). `payload_hash` is compared with
-/// the container's stored trailer instead of hashing the payload again; everything
-/// else, including the typed errors, is [`dataset_from_bytes`].
-pub fn dataset_from_prehashed_bytes(bytes: &[u8], payload_hash: u64) -> Result<Dataset, DataError> {
-    dataset_from_container(bytes, |_| payload_hash)
+/// [`dataset_from_bytes`] without the trailer comparison, for a container nested in a
+/// blob whose reader compares that trailer itself, possibly on another lane while this
+/// parse runs (see [`format::split_nested_checksums`]). Every structural check and
+/// typed error stays, so any input gives a value or an error and never a panic, but
+/// only the checksum tells corrupt bytes from good ones: the caller must drop the
+/// result, value or error, unless its comparison of both trailers passed.
+pub fn dataset_from_unverified_bytes(bytes: &[u8]) -> Result<Dataset, DataError> {
+    dataset_from_container(bytes, false)
 }
 
-fn dataset_from_container(
-    bytes: &[u8],
-    payload_hash: impl FnOnce(&[u8]) -> u64,
-) -> Result<Dataset, DataError> {
-    let mut cursor = open_container(bytes, &DATASET_MAGIC, DATASET_FORMAT_VERSION, payload_hash)?;
+/// A CSR pair array and whether each of its two columns' handles are in range.
+type CheckedPairs<A, B> = (Vec<(A, B)>, [bool; 2]);
+
+/// Reads the two `u32` column blocks of a CSR pair array and fills the pairs in one
+/// pass over both. A raw block is read in place; a run-length encoded one is decoded
+/// into its own buffer of `scratch`, reused from one pair array to the next. Returns the
+/// pairs and whether each column's handles stay below its bound, which the caller
+/// reports once its columns are read, so a column error still comes first.
+fn read_pairs<A, B>(
+    cursor: &mut Cursor<'_>,
+    n: usize,
+    [first_scratch, second_scratch]: &mut [Vec<u8>; 2],
+    (first, first_bound): (fn(u32) -> A, usize),
+    (second, second_bound): (fn(u32) -> B, usize),
+) -> Result<CheckedPairs<A, B>, DataError> {
+    let firsts = cursor.read_column(n, 4, "u32", first_scratch)?;
+    let seconds = cursor.read_column(n, 4, "u32", second_scratch)?;
+    let mut in_range = [true; 2];
+    let pairs = format::le_u32s(firsts)
+        .zip(format::le_u32s(seconds))
+        .map(|(a, b)| {
+            in_range[0] &= (a as usize) < first_bound;
+            in_range[1] &= (b as usize) < second_bound;
+            (first(a), second(b))
+        })
+        .collect();
+    Ok((pairs, in_range))
+}
+
+fn dataset_from_container(bytes: &[u8], verify: bool) -> Result<Dataset, DataError> {
+    let mut cursor = open_container(bytes, &DATASET_MAGIC, DATASET_FORMAT_VERSION, verify)?;
     let max = u32::MAX as usize;
     let num_sources = cursor.read_len(max)?;
     let num_objects = cursor.read_len(max)?;
@@ -233,60 +271,67 @@ fn dataset_from_container(
     let objects: Interner<ObjectId> = read_dict(&mut cursor, num_objects)?;
     let values: Interner<ValueId> = read_dict(&mut cursor, num_values)?;
 
+    // The offset arrays must sum to the claim count before any column of that length
+    // is decoded. Raw columns are read in place, and run-length encoded ones decode
+    // into these two buffers, reused from column to column.
     let n_u32 = u32::try_from(n).map_err(|_| corrupt("claim count overflows u32"))?;
+    let mut scratch = [Vec::new(), Vec::new()];
     let by_object_offsets = cursor.read_offsets(num_objects, n_u32)?;
-    let obj_sources = cursor.read_u32_column(n)?;
-    let obj_values = cursor.read_u32_column(n)?;
-    let by_object_seq = cursor.read_u32_column(n)?;
-    check_ids(&obj_sources, num_sources, "source")?;
-    check_ids(&obj_values, num_values, "value")?;
+    let (by_object, [sources_ok, values_ok]) = read_pairs(
+        &mut cursor,
+        n,
+        &mut scratch,
+        (SourceId, num_sources),
+        (ValueId, num_values),
+    )?;
+    let by_object_seq: Vec<u32> =
+        format::le_u32s(cursor.read_column(n, 4, "u32", &mut scratch[0])?).collect();
+    check_range(sources_ok, "source")?;
+    check_range(values_ok, "value")?;
 
     let by_source_offsets = cursor.read_offsets(num_sources, n_u32)?;
-    let src_objects = cursor.read_u32_column(n)?;
-    let src_values = cursor.read_u32_column(n)?;
-    check_ids(&src_objects, num_objects, "object")?;
-    check_ids(&src_values, num_values, "value")?;
+    let (by_source, [objects_ok, values_ok]) = read_pairs(
+        &mut cursor,
+        n,
+        &mut scratch,
+        (ObjectId, num_objects),
+        (ValueId, num_values),
+    )?;
+    check_range(objects_ok, "object")?;
+    check_range(values_ok, "value")?;
 
     let domains_u32 =
         u32::try_from(domains_len).map_err(|_| corrupt("domain count overflows u32"))?;
     let domain_offsets = cursor.read_offsets(num_objects, domains_u32)?;
-    let domain_values = cursor.read_u32_column(domains_len)?;
-    check_ids(&domain_values, num_values, "value")?;
+    let mut domains_ok = true;
+    let domains: Vec<ValueId> =
+        format::le_u32s(cursor.read_column(domains_len, 4, "u32", &mut scratch[0])?)
+            .map(|v| {
+                domains_ok &= (v as usize) < num_values;
+                ValueId(v)
+            })
+            .collect();
+    check_range(domains_ok, "value")?;
     if !cursor.is_empty() {
         return Err(corrupt("trailing bytes after dataset payload"));
     }
 
     // Scatter the object rows back into the insertion-order log. The seq column must
-    // be a permutation of 0..n or the log cannot be reconstructed.
-    let mut observations = vec![Observation::new(SourceId(0), ObjectId(0), ValueId(0)); n];
-    let mut seen = vec![false; n];
+    // be a permutation of 0..n or the log cannot be reconstructed; a slot not yet
+    // filled holds an object handle no row can have (handles stay below u32::MAX).
+    let unset = Observation::new(SourceId(0), ObjectId(u32::MAX), ValueId(0));
+    let mut observations = vec![unset; n];
     for object in 0..num_objects {
         let row = by_object_offsets[object] as usize..by_object_offsets[object + 1] as usize;
-        for i in row {
-            let seq = by_object_seq[i] as usize;
-            if seq >= n || seen[seq] {
-                return Err(corrupt("sequence column is not a permutation of the log"));
+        for (&(source, value), &seq) in by_object[row.clone()].iter().zip(&by_object_seq[row]) {
+            match observations.get_mut(seq as usize) {
+                Some(slot) if slot.object == unset.object => {
+                    *slot = Observation::new(source, ObjectId::new(object), value);
+                }
+                _ => return Err(corrupt("sequence column is not a permutation of the log")),
             }
-            seen[seq] = true;
-            observations[seq] = Observation::new(
-                SourceId(obj_sources[i]),
-                ObjectId::new(object),
-                ValueId(obj_values[i]),
-            );
         }
     }
-
-    let by_object = obj_sources
-        .iter()
-        .zip(&obj_values)
-        .map(|(&s, &v)| (SourceId(s), ValueId(v)))
-        .collect();
-    let by_source = src_objects
-        .iter()
-        .zip(&src_values)
-        .map(|(&o, &v)| (ObjectId(o), ValueId(v)))
-        .collect();
-    let domains = domain_values.into_iter().map(ValueId).collect();
 
     Ok(Dataset::from_parts(DatasetParts {
         observations,
@@ -335,12 +380,7 @@ pub fn features_to_bytes(features: &FeatureMatrix) -> Vec<u8> {
 
 /// Deserializes a `SLFF` container back into a [`FeatureMatrix`] (bit-exact values).
 pub fn features_from_bytes(bytes: &[u8]) -> Result<FeatureMatrix, DataError> {
-    let mut cursor = open_container(
-        bytes,
-        &FEATURES_MAGIC,
-        FEATURES_FORMAT_VERSION,
-        format::fnv1a,
-    )?;
+    let mut cursor = open_container(bytes, &FEATURES_MAGIC, FEATURES_FORMAT_VERSION, true)?;
     let num_sources = cursor.read_len(u32::MAX as usize)?;
     let nnz = cursor.read_len(u32::MAX as usize)?;
     let interner: Interner<FeatureId> = read_dict(&mut cursor, u32::MAX as usize)?;
@@ -618,30 +658,188 @@ mod tests {
     }
 
     #[test]
-    fn unsealed_and_prehashed_entry_points_match_the_standalone_ones() {
+    fn unsealed_and_unverified_entry_points_match_the_standalone_ones() {
         let d = toy();
         let unsealed = dataset_to_unsealed_bytes(&d).unwrap();
         let mut sealed = unsealed.clone();
         format::append_checksum(&mut sealed);
         assert_eq!(sealed, dataset_to_bytes(&d).unwrap());
-
-        let hash = format::fnv1a(&unsealed);
-        let back = dataset_from_prehashed_bytes(&sealed, hash).unwrap();
-        assert!(back.same_content(&d));
-        // The passed hash is still compared with the container's own trailer.
-        match dataset_from_prehashed_bytes(&sealed, hash ^ 1) {
+        assert!(dataset_from_unverified_bytes(&sealed)
+            .unwrap()
+            .same_content(&d));
+        // The unverified reader compares no trailer; the standalone one does.
+        let mut wrong = sealed.clone();
+        *wrong.last_mut().unwrap() ^= 1;
+        assert!(dataset_from_unverified_bytes(&wrong)
+            .unwrap()
+            .same_content(&d));
+        match dataset_from_bytes(&wrong) {
             Err(DataError::CorruptModel { message }) => {
                 assert!(message.contains("checksum mismatch"), "{message}")
             }
             other => panic!("expected a checksum mismatch, got {other:?}"),
         }
+        // Every proper prefix ends inside the payload, so the parse runs out.
         for len in 0..sealed.len() {
-            let prefix = &sealed[..len];
-            let hash = format::fnv1a(&prefix[..len.saturating_sub(8)]);
             assert!(
-                dataset_from_prehashed_bytes(prefix, hash).is_err(),
+                dataset_from_unverified_bytes(&sealed[..len]).is_err(),
                 "len {len}"
             );
+        }
+    }
+
+    /// The dataset decode before the column passes: each column into its own `Vec`,
+    /// the handle checks after the columns, and the pair arrays zipped from two of
+    /// them. The decode must produce the same arrays, or the same error.
+    fn dataset_by_columns(bytes: &[u8]) -> Result<Dataset, DataError> {
+        let mut cursor = open_container(bytes, &DATASET_MAGIC, DATASET_FORMAT_VERSION, true)?;
+        let max = u32::MAX as usize;
+        let num_sources = cursor.read_len(max)?;
+        let num_objects = cursor.read_len(max)?;
+        let num_values = cursor.read_len(max)?;
+        let n = cursor.read_len(max)?;
+        let compactions = cursor.read_len(usize::MAX)?;
+        let domains_len = cursor.read_len(n)?;
+        let sources: Interner<SourceId> = read_dict(&mut cursor, num_sources)?;
+        let objects: Interner<ObjectId> = read_dict(&mut cursor, num_objects)?;
+        let values: Interner<ValueId> = read_dict(&mut cursor, num_values)?;
+
+        let n_u32 = u32::try_from(n).map_err(|_| corrupt("claim count overflows u32"))?;
+        let by_object_offsets = cursor.read_offsets(num_objects, n_u32)?;
+        let obj_sources = cursor.read_u32_column(n)?;
+        let obj_values = cursor.read_u32_column(n)?;
+        let by_object_seq = cursor.read_u32_column(n)?;
+        check_ids(&obj_sources, num_sources, "source")?;
+        check_ids(&obj_values, num_values, "value")?;
+        let by_source_offsets = cursor.read_offsets(num_sources, n_u32)?;
+        let src_objects = cursor.read_u32_column(n)?;
+        let src_values = cursor.read_u32_column(n)?;
+        check_ids(&src_objects, num_objects, "object")?;
+        check_ids(&src_values, num_values, "value")?;
+        let domains_u32 =
+            u32::try_from(domains_len).map_err(|_| corrupt("domain count overflows u32"))?;
+        let domain_offsets = cursor.read_offsets(num_objects, domains_u32)?;
+        let domain_values = cursor.read_u32_column(domains_len)?;
+        check_ids(&domain_values, num_values, "value")?;
+        if !cursor.is_empty() {
+            return Err(corrupt("trailing bytes after dataset payload"));
+        }
+
+        let mut observations = vec![Observation::new(SourceId(0), ObjectId(0), ValueId(0)); n];
+        let mut seen = vec![false; n];
+        for object in 0..num_objects {
+            let row = by_object_offsets[object] as usize..by_object_offsets[object + 1] as usize;
+            for i in row {
+                let seq = by_object_seq[i] as usize;
+                if seq >= n || seen[seq] {
+                    return Err(corrupt("sequence column is not a permutation of the log"));
+                }
+                seen[seq] = true;
+                observations[seq] = Observation::new(
+                    SourceId(obj_sources[i]),
+                    ObjectId::new(object),
+                    ValueId(obj_values[i]),
+                );
+            }
+        }
+        let zip =
+            |a: &[u32], b: &[u32]| a.iter().copied().zip(b.iter().copied()).collect::<Vec<_>>();
+        Ok(Dataset::from_parts(DatasetParts {
+            observations,
+            by_object: zip(&obj_sources, &obj_values)
+                .into_iter()
+                .map(|(s, v)| (SourceId(s), ValueId(v)))
+                .collect(),
+            by_object_offsets,
+            by_object_seq,
+            by_source: zip(&src_objects, &src_values)
+                .into_iter()
+                .map(|(o, v)| (ObjectId(o), ValueId(v)))
+                .collect(),
+            by_source_offsets,
+            domains: domain_values.into_iter().map(ValueId).collect(),
+            domain_offsets,
+            sources,
+            objects,
+            values,
+            num_sources,
+            num_objects,
+            num_values,
+            compactions,
+        }))
+    }
+
+    /// Asserts two decoded datasets agree on every array, `by_object_seq` and the
+    /// compaction counter included.
+    fn assert_same_arrays(got: &Dataset, want: &Dataset, what: &str) {
+        let (a, b) = (got.columns(), want.columns());
+        assert_eq!(got.observations(), want.observations(), "{what}: log");
+        assert_eq!(a.by_object, b.by_object, "{what}: by_object");
+        assert_eq!(a.by_object_offsets, b.by_object_offsets, "{what}");
+        assert_eq!(a.by_object_seq, b.by_object_seq, "{what}: seq");
+        assert_eq!(a.by_source, b.by_source, "{what}: by_source");
+        assert_eq!(a.by_source_offsets, b.by_source_offsets, "{what}");
+        assert_eq!(a.domains, b.domains, "{what}: domains");
+        assert_eq!(a.domain_offsets, b.domain_offsets, "{what}");
+        let counts = |c: &crate::dataset::DatasetColumns<'_>| {
+            (c.num_sources, c.num_objects, c.num_values, c.compactions)
+        };
+        assert_eq!(counts(&a), counts(&b), "{what}: counts");
+        assert!(got.same_content(want), "{what}: names");
+    }
+
+    #[test]
+    fn column_passes_decode_what_the_column_decode_did() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0xC01D_5EED);
+        let mut datasets: Vec<Dataset> = (0..300)
+            .map(|_| crate::dataset::tests::random_history(&mut rng, |_, _, _| {}).compacted())
+            .collect();
+        // Larger ones, so value columns run long and use multi-byte run varints.
+        for (claims, values) in [(5_000usize, 2usize), (20_000, 1), (20_000, 5)] {
+            let mut b = DatasetBuilder::with_capacity(claims);
+            for i in 0..claims {
+                let _ = b.observe(
+                    &format!("s{}", i % 97),
+                    &format!("o{}", i / 7),
+                    &format!("v{}", (i / 300) % values),
+                );
+            }
+            let mut d = b.build();
+            d.evict_batch(&[(SourceId(3), ObjectId(3)), (SourceId(5), ObjectId(5))]);
+            d.append_named("late-source", "o1", "v0").unwrap();
+            datasets.push(d.compacted());
+        }
+        for (case, d) in datasets.iter().enumerate() {
+            let what = format!("case {case}");
+            let bytes = dataset_to_bytes(d).unwrap();
+            let got = dataset_from_bytes(&bytes).unwrap();
+            assert_same_arrays(&got, &dataset_by_columns(&bytes).unwrap(), &what);
+            assert_same_arrays(&got, d, &what);
+            // Edited payload bytes under a re-stamped checksum: both decoders give the
+            // same arrays or the same error.
+            for edit in 0..6 {
+                let mut bad = bytes.clone();
+                for _ in 0..rng.gen_range(1..=2usize) {
+                    let at = rng.gen_range(8..bytes.len() - 8);
+                    bad[at] = if edit % 2 == 0 {
+                        rng.gen_range(0..=u8::MAX)
+                    } else {
+                        bad[at] ^ 1
+                    };
+                }
+                restamp_checksum(&mut bad);
+                let what = format!("{what} edit {edit}");
+                match (dataset_from_bytes(&bad), dataset_by_columns(&bad)) {
+                    (Ok(got), Ok(want)) => assert_same_arrays(&got, &want, &what),
+                    (Err(got), Err(want)) => {
+                        assert_eq!(got.to_string(), want.to_string(), "{what}")
+                    }
+                    (got, want) => panic!("{what}: {got:?} vs {want:?}"),
+                }
+            }
         }
     }
 
