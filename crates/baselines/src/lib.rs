@@ -25,7 +25,7 @@
 //! iterative refinement; sources unseen at fit time fall back to the method's prior.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod accu;
 pub mod catd;

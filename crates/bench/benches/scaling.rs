@@ -5,12 +5,13 @@
 //! storage footprint (bytes per claim, with the estimated pre-CSR nested-layout
 //! equivalent), and times an unsupervised EM fit — the paper's "millions of claims"
 //! regime — at one worker thread and at four. Timings are the minimum of several
-//! interleaved rounds (after a warm-up fit that populates the worker pool), so the
-//! published numbers measure the steady state the persistent pool is designed for. Every round's fitted weights are asserted bitwise-identical
+//! interleaved rounds after a warm-up fit, so the published numbers are the cost floor
+//! of each setting; a parallel E-step spawns its scoped lanes per call, so every round
+//! pays the same spawns. Every round's fitted weights are asserted bitwise-identical
 //! across thread counts (the executor's core guarantee) before any timing is trusted,
 //! and each point reports its `parallel_efficiency`: the t1/t4 speedup divided by the
 //! lanes a 4-thread request actually runs on this machine
-//! ([`exec::max_lanes`]-clamped). On a single-core machine the pool collapses both
+//! ([`exec::max_lanes`]-clamped). On a single-core machine the executor collapses both
 //! settings to the same inline execution, so efficiency ≈ 1.0 means requesting threads
 //! costs nothing; on a multi-core machine it measures how much of the extra lanes the
 //! chunk grid converts into speedup. A machine-readable summary is written to
@@ -69,8 +70,7 @@ const FULL_EXTRA: &[GridPoint] = &[GridPoint {
 }];
 
 /// Timed rounds per thread count (interleaved t1/t4 so machine drift cancels); the
-/// published time is the per-setting minimum, i.e. the cost floor with the pool in
-/// steady state.
+/// published time is the per-setting minimum, i.e. the cost floor.
 const ROUNDS: usize = 7;
 
 fn generate(point: &GridPoint) -> SyntheticInstance {
@@ -171,8 +171,8 @@ fn run_point(point: &GridPoint) -> PointReport {
         let (model, _) = estimator.train(&input);
         (start.elapsed().as_secs_f64(), model)
     };
-    // Warm-up: spawns the pool lanes a 4-thread fit will use, so every timed round below
-    // measures the pool's steady state.
+    // Warm-up: one untimed 4-thread fit, so first-touch costs stay out of the timed
+    // rounds.
     let (_, warm_model) = timed_fit(4);
 
     let bits =
@@ -420,7 +420,7 @@ fn write_json(reports: &[PointReport], kernel_reports: &[KernelReport]) -> std::
 }
 
 /// The t1-vs-t4 delta table: where the thread request pays off (negative delta) and
-/// where it would cost (positive delta, the pre-pool regression this bench guards).
+/// where it would cost (positive delta, the regression this bench guards).
 fn print_delta_table(reports: &[PointReport]) {
     println!(
         "\nscaling: t1 vs t4 delta (effective t4 lanes on this machine: {})",

@@ -11,8 +11,8 @@
 //!    (re-dispatching as each one lands); reports the same rate/latency numbers plus
 //!    snapshot-swap count and the maximum staleness the writer observed.
 //! 3. **Batched API** — one thread drives [`ModelSnapshot::posteriors`] over the whole
-//!    object universe in fixed-size batches (the query path that fans out over the
-//!    worker pool); reports batched posteriors/sec.
+//!    object universe in fixed-size batches (the query path that fans out over
+//!    executor lanes); reports batched posteriors/sec.
 //! 4. **Refit failures** (`--features fault-injection` only) — the same reader
 //!    workload while every background refit the writer dispatches *fails* via an
 //!    injected training panic; reports the degraded posterior rate plus the
@@ -259,7 +259,7 @@ fn run_under_refit(serving: &mut ServingEngine, q: usize, delta_total: usize) ->
 
         // The writer: put a refit in flight immediately, then ingest batch after
         // batch, re-dispatching whenever the previous refit lands so the readers
-        // spend the whole phase with training work on the pool underneath them.
+        // spend the whole phase with a training thread beside them.
         assert!(serving.refit_background(), "no refit could be dispatched");
         let mut batches = delta.chunks(INGEST_BATCH);
         while done.load(Ordering::Acquire) < READERS {
@@ -267,7 +267,7 @@ fn run_under_refit(serving: &mut ServingEngine, q: usize, delta_total: usize) ->
                 delta_ingested += serving.ingest(batch).expect("delta objects are fresh");
             }
             // `poll_refit` installs (and publishes) a landed refit; immediately put the
-            // next one in flight so the readers never run against an idle pool.
+            // next one in flight so the readers never run without training beside them.
             serving.poll_refit();
             if !serving.refit_in_flight() {
                 serving.refit_background();
@@ -414,7 +414,7 @@ fn run_degraded(serving: &mut ServingEngine, q: usize) -> FaultPhase {
 }
 
 /// Phase 3: the batched posterior API over the whole object universe, one consistent
-/// snapshot, fanned over the worker pool.
+/// snapshot, fanned over executor lanes.
 fn run_batched(serving: &ServingEngine) -> BatchedPhase {
     let snapshot = serving.snapshot();
     let num_objects = snapshot.dataset().num_objects();
@@ -569,7 +569,7 @@ fn main() {
 
     let batched = run_batched(&serving);
     println!(
-        "serving/batched  {} posteriors in {:>7.3}s ({:>9.0} posteriors/s via the pooled batch API)",
+        "serving/batched  {} posteriors in {:>7.3}s ({:>9.0} posteriors/s via the batched API)",
         batched.queries,
         batched.secs,
         batched.queries as f64 / batched.secs.max(1e-9),

@@ -26,7 +26,7 @@
 //! `benches/`.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use slimfast_core::SlimFastConfig;
 use slimfast_datagen::{DatasetKind, SyntheticInstance};

@@ -158,22 +158,13 @@ pub struct SlimFastConfig {
     /// Seed for all stochastic components (the SGD shuffles of ERM, including EM's ERM
     /// warm start).
     pub seed: u64,
-    /// Worker threads for the sharded E-step and SGD gradient accumulation. `0` (the
-    /// default) resolves the `SLIMFAST_THREADS` environment variable, then the
-    /// machine's available parallelism (see [`crate::exec`]). Fits are
-    /// bitwise-identical at any thread count; this knob only changes wall-clock time.
+    /// Worker threads for the sharded E-step. `0` (the default) resolves the
+    /// `SLIMFAST_THREADS` environment variable, then the machine's available
+    /// parallelism (see [`crate::exec`]). Fits are bitwise-identical at any thread
+    /// count; this knob only changes wall-clock time. ERM's SGD runs on the calling
+    /// thread, with the batch size [`slimfast_optim::auto_batch_size`] picks from the
+    /// number of labelled objects.
     pub threads: usize,
-    /// Examples per SGD parameter update of the ERM learner on large objectives (EM's
-    /// M-step runs no SGD). `0` (the default)
-    /// auto-tunes the batch size from each objective's example count (see
-    /// [`slimfast_optim::auto_batch_size`]): small fits keep per-example SGD, large
-    /// fits get batches sized so the deterministic parallel minimizer has a chunk grid
-    /// worth fanning out. A fixed value (e.g. the previous default of `256`) stays
-    /// available as an explicit override; `1` forces classic per-example SGD. Whatever
-    /// the setting, batching only engages on objectives with at least `4 × batch_size`
-    /// examples, and the resolution depends only on the data — never the thread count —
-    /// so fits stay bitwise-identical across `SLIMFAST_THREADS` settings.
-    pub batch_size: usize,
 }
 
 impl Default for SlimFastConfig {
@@ -187,7 +178,6 @@ impl Default for SlimFastConfig {
             optimizer_threshold: 0.1,
             seed: 0,
             threads: 0,
-            batch_size: 0,
         }
     }
 }
@@ -200,8 +190,6 @@ impl SlimFastConfig {
             learning_rate: self.learning_rate,
             penalty: self.penalty,
             seed: self.seed,
-            batch_size: self.batch_size,
-            threads: self.threads,
             ..SgdConfig::default()
         }
     }

@@ -528,7 +528,7 @@ impl FusionEngine {
 /// A self-contained training capture from [`FusionEngine::training_snapshot`]: compact
 /// clones of the live instance (dataset, features, labels) plus the estimator, detached
 /// from the engine so [`TrainingSnapshot::train`] can run on another thread — a
-/// background refit job on the worker pool, say — while the engine keeps ingesting.
+/// background refit, say — while the engine keeps ingesting.
 #[derive(Debug, Clone)]
 pub struct TrainingSnapshot {
     estimator: SlimFast,

@@ -154,4 +154,47 @@ mod tests {
         let b = train_erm(&inst.dataset, &inst.features, &inst.truth, &config);
         assert_eq!(a.weights(), b.weights());
     }
+
+    #[test]
+    fn batched_erm_fit_bits_are_pinned() {
+        use slimfast_optim::{auto_batch_size, StochasticObjective};
+        // 1,500 labelled objects, so auto batching engages (64-example batches). The
+        // hash pins the bits of the weights and the loss history.
+        let inst = SyntheticConfig {
+            name: "erm-pin".into(),
+            num_sources: 60,
+            num_objects: 1_500,
+            domain_size: 2,
+            pattern: ObservationPattern::Bernoulli(0.15),
+            accuracy: AccuracyModel {
+                mean: 0.7,
+                spread: 0.2,
+            },
+            features: FeatureModel {
+                num_predictive: 3,
+                num_noise: 3,
+                predictive_strength: 0.25,
+            },
+            copying: None,
+            seed: 5,
+        }
+        .generate();
+        let problem = CompiledProblem::compile(&inst.dataset, &inst.features, &inst.truth);
+        let objective = problem.erm_objective();
+        let examples = objective.num_examples();
+        let batch = auto_batch_size(examples);
+        assert!(examples >= 1024 && batch > 1 && examples >= 4 * batch);
+        let config = SlimFastConfig::default();
+        let fit = slimfast_optim::minimize(&objective, None, &config.erm_sgd());
+        let bits: Vec<u8> = fit
+            .weights
+            .iter()
+            .chain(&fit.loss_history)
+            .flat_map(|x| x.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(slimfast_data::format::fnv1a(&bits), 0x6577_b853_29e7_6050);
+        // The estimator's ERM path runs this same fit.
+        let model = train_erm_compiled(&problem, &config);
+        assert_eq!(model.weights(), fit.weights.as_slice());
+    }
 }

@@ -16,14 +16,17 @@
 //!
 //! # Execution
 //!
-//! All parallel regions run on the process-wide persistent [`WorkerPool`]: workers are
-//! spawned once (on first demand) and parked on a condvar between jobs, so a region
-//! costs one wakeup instead of a pool spawn. Requested thread counts are a logical
-//! knob; the lanes actually run are capped at the machine's parallelism
-//! ([`max_lanes`]) — oversubscription can only add context switches, never change
-//! results — and small inputs run inline on the caller so small fits never pay a
-//! wakeup: sliced regions under [`INLINE_MIN_ITEMS`] items, SGD batches with chunk
-//! grids below `2 ×` the lane count.
+//! A parallel region runs on the caller plus scoped threads spawned for that region
+//! (`std::thread::scope`), which claim chunks from a shared counter and are joined
+//! before it returns. Three regions use it: the E-step posterior pass
+//! ([`crate::compile::CompiledProblem::e_step`]), batched snapshot posteriors
+//! ([`crate::serve::ModelSnapshot::posteriors`]) and the evaluation grid. Requested
+//! thread counts are a logical knob; the lanes actually run are capped at the
+//! machine's parallelism ([`max_lanes`]) — oversubscription can only add context
+//! switches, never change results — and sliced regions under [`INLINE_MIN_ITEMS`]
+//! items run inline on the caller, so small fits never pay a spawn. Every lane of a
+//! region is marked so that a region nested inside it (a grid cell's fit) runs
+//! inline.
 //!
 //! # Configuration
 //!
@@ -35,7 +38,7 @@
 
 pub use slimfast_optim::exec::{
     execution_lanes, for_each_slice_mut, map_parts, max_lanes, num_threads, resolve_threads,
-    WorkerPool, INLINE_MIN_ITEMS, THREADS_ENV,
+    INLINE_MIN_ITEMS, THREADS_ENV,
 };
 
 /// Maximum number of objects per E-step/posterior shard. Constant (never derived from

@@ -48,9 +48,9 @@
 //!   drift of the Section 4.2 bound).
 //! * [`serve::ServingEngine`] — the concurrent serving tier over the engine:
 //!   epoch-swapped immutable [`serve::ModelSnapshot`]s served lock-free to any number
-//!   of reader threads, a single-writer ingest path, refits dispatched as background
-//!   jobs on the worker pool, and a batched posterior API that fans large queries over
-//!   the pool.
+//!   of reader threads, a single-writer ingest path, each refit trained on a background
+//!   thread of its own, and a batched posterior API that fans large queries over the
+//!   [`exec`] lanes.
 //! * [`serve::ModelSnapshot::write_to_file`] / [`serve::ServingEngine::from_snapshot`]
 //!   — full-state persistence and cold start: one versioned, checksummed bundle holds
 //!   the fitted model, the compacted columnar dataset, the feature matrix, and the
@@ -70,7 +70,7 @@
 //!   closed-form inference path.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod bounds;
 pub mod compile;

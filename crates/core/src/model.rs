@@ -4,7 +4,7 @@
 
 use slimfast_optim::{kernels, sigmoid, SparseVec};
 
-use slimfast_data::format::{self, fnv1a};
+use slimfast_data::format;
 use slimfast_data::{
     DataError, Dataset, FeatureMatrix, ObjectId, SourceAccuracies, SourceId, TruthAssignment,
     ValueId,
@@ -13,19 +13,16 @@ use slimfast_data::{
 /// Leading magic of a serialized [`SlimFastModel`] blob.
 const MODEL_MAGIC: [u8; 4] = *b"SLMF";
 
-/// Current version of the serialized model format. Bump on any layout change; readers
-/// accept every version up to this one and reject newer blobs with
-/// [`DataError::UnsupportedModelVersion`].
+/// Version of the serialized model format, the only one the reader accepts: a blob of
+/// any other version, older or newer, reads as [`DataError::UnsupportedModelVersion`].
+/// Bump on any layout change.
 ///
 /// * **v1** — fixed-width header (`num_sources`/`num_features` as `u64`) and raw
-///   little-endian weights; still readable.
+///   little-endian weights; no longer readable.
 /// * **v2** — counts as varints and the weight vector as a compressed `f64` column,
 ///   built on the shared wire primitives of [`slimfast_data::format`] (the same
 ///   vocabulary the dataset snapshot containers use).
 pub const MODEL_FORMAT_VERSION: u32 = 2;
-
-/// Bytes in the fixed v1 header: magic, version, `num_sources`, `num_features`.
-const V1_HEADER_LEN: usize = 4 + 4 + 8 + 8;
 
 /// Layout of SLiMFast's parameter vector: one source-indicator weight `w_s` per source
 /// followed by one weight `w_k` per domain feature.
@@ -283,7 +280,7 @@ impl SlimFastModel {
 
     /// Serializes the model into a self-describing binary blob.
     ///
-    /// Layout of the current (v2) format, built on the shared wire primitives of
+    /// Layout of the v2 format, built on the shared wire primitives of
     /// [`slimfast_data::format`] (all integers little-endian):
     ///
     /// ```text
@@ -305,14 +302,13 @@ impl SlimFastModel {
         bytes
     }
 
-    /// Deserializes a model previously written by [`SlimFastModel::to_bytes`] — by this
-    /// build or an older one (every format version up to [`MODEL_FORMAT_VERSION`] is
-    /// readable).
+    /// Deserializes a model written by [`SlimFastModel::to_bytes`]: the checksum first,
+    /// then a bounds-checked cursor walk.
     ///
     /// Fails with [`DataError::CorruptModel`] on wrong magic, truncation, length
     /// mismatches, or a checksum failure, and with
-    /// [`DataError::UnsupportedModelVersion`] when the blob was written by a newer
-    /// format version.
+    /// [`DataError::UnsupportedModelVersion`] when the blob's format version is not
+    /// [`MODEL_FORMAT_VERSION`].
     pub fn from_bytes(bytes: &[u8]) -> Result<Self, DataError> {
         if bytes.len() < 8 {
             return Err(format::corrupt("blob shorter than the fixed header"));
@@ -321,18 +317,12 @@ impl SlimFastModel {
             return Err(format::corrupt("missing \"SLMF\" magic"));
         }
         let version = u32::from_le_bytes(bytes[4..8].try_into().expect("4-byte slice"));
-        match version {
-            1 => Self::from_bytes_v1(bytes),
-            2 => Self::from_bytes_v2(bytes),
-            _ => Err(DataError::UnsupportedModelVersion {
+        if version != MODEL_FORMAT_VERSION {
+            return Err(DataError::UnsupportedModelVersion {
                 found: version,
                 supported: MODEL_FORMAT_VERSION,
-            }),
+            });
         }
-    }
-
-    /// Current-format reader: checksum first, then a bounds-checked cursor walk.
-    fn from_bytes_v2(bytes: &[u8]) -> Result<Self, DataError> {
         let payload = format::split_checksum(bytes)?;
         let mut cursor = format::Cursor::new(&payload[8..]);
         let max = u32::MAX as usize;
@@ -346,51 +336,6 @@ impl SlimFastModel {
             space: ParameterSpace {
                 num_sources,
                 num_features,
-            },
-            weights,
-        })
-    }
-
-    /// Legacy reader for v1 blobs (fixed-width counts, raw weight bytes). Kept verbatim
-    /// so every model ever written stays loadable.
-    fn from_bytes_v1(bytes: &[u8]) -> Result<Self, DataError> {
-        let corrupt = |message: &str| DataError::CorruptModel {
-            message: message.to_string(),
-        };
-        if bytes.len() < V1_HEADER_LEN + 8 {
-            return Err(corrupt("blob shorter than the fixed header"));
-        }
-        let num_sources = u64::from_le_bytes(bytes[8..16].try_into().expect("8-byte slice"));
-        let num_features = u64::from_le_bytes(bytes[16..24].try_into().expect("8-byte slice"));
-        let Some(len) = num_sources
-            .checked_add(num_features)
-            .and_then(|n| usize::try_from(n).ok())
-        else {
-            return Err(corrupt("declared parameter count overflows"));
-        };
-        let expected = V1_HEADER_LEN
-            .checked_add(
-                len.checked_mul(8)
-                    .ok_or_else(|| corrupt("payload overflows"))?,
-            )
-            .and_then(|n| n.checked_add(8))
-            .ok_or_else(|| corrupt("payload overflows"))?;
-        if bytes.len() != expected {
-            return Err(corrupt("payload length does not match the declared sizes"));
-        }
-        let payload_end = bytes.len() - 8;
-        let stored = u64::from_le_bytes(bytes[payload_end..].try_into().expect("8-byte slice"));
-        if fnv1a(&bytes[..payload_end]) != stored {
-            return Err(corrupt("checksum mismatch"));
-        }
-        let weights = bytes[V1_HEADER_LEN..payload_end]
-            .chunks_exact(8)
-            .map(|chunk| f64::from_le_bytes(chunk.try_into().expect("8-byte chunk")))
-            .collect();
-        Ok(Self {
-            space: ParameterSpace {
-                num_sources: num_sources as usize,
-                num_features: num_features as usize,
             },
             weights,
         })
@@ -602,14 +547,16 @@ mod tests {
             SlimFastModel::from_bytes(&bad),
             Err(slimfast_data::DataError::CorruptModel { .. })
         ));
-        // Future format version.
-        let mut bad = good.clone();
-        bad[4..8].copy_from_slice(&(MODEL_FORMAT_VERSION + 1).to_le_bytes());
-        assert!(matches!(
-            SlimFastModel::from_bytes(&bad),
-            Err(slimfast_data::DataError::UnsupportedModelVersion { found, supported })
-                if found == MODEL_FORMAT_VERSION + 1 && supported == MODEL_FORMAT_VERSION
-        ));
+        // Future and retired format versions: v1 blobs are no longer read.
+        for version in [MODEL_FORMAT_VERSION + 1, 1] {
+            let mut bad = good.clone();
+            bad[4..8].copy_from_slice(&version.to_le_bytes());
+            assert!(matches!(
+                SlimFastModel::from_bytes(&bad),
+                Err(slimfast_data::DataError::UnsupportedModelVersion { found, supported })
+                    if found == version && supported == MODEL_FORMAT_VERSION
+            ));
+        }
         // Truncation at every length and payload corruption.
         for len in 0..good.len() {
             assert!(
@@ -626,46 +573,6 @@ mod tests {
         ));
         // Empty blob.
         assert!(SlimFastModel::from_bytes(&[]).is_err());
-    }
-
-    #[test]
-    fn legacy_v1_blobs_still_load() {
-        // Hand-write a v1 blob (fixed-width counts, raw little-endian weights) and
-        // check the current reader restores it bit-for-bit.
-        let weights = [0.25f64, -1.5, 3.125, 0.0];
-        let mut v1 = Vec::new();
-        v1.extend_from_slice(b"SLMF");
-        v1.extend_from_slice(&1u32.to_le_bytes());
-        v1.extend_from_slice(&2u64.to_le_bytes()); // num_sources
-        v1.extend_from_slice(&2u64.to_le_bytes()); // num_features
-        for w in weights {
-            v1.extend_from_slice(&w.to_le_bytes());
-        }
-        let checksum = slimfast_data::format::fnv1a(&v1);
-        v1.extend_from_slice(&checksum.to_le_bytes());
-
-        let model = SlimFastModel::from_bytes(&v1).unwrap();
-        assert_eq!(model.space().num_sources, 2);
-        assert_eq!(model.space().num_features, 2);
-        assert_eq!(model.weights(), &weights);
-        // Corrupt v1 payloads still fail cleanly through the legacy reader.
-        let mut bad = v1.clone();
-        bad[V1_HEADER_LEN + 3] ^= 0x40;
-        assert!(matches!(
-            SlimFastModel::from_bytes(&bad),
-            Err(slimfast_data::DataError::CorruptModel { message }) if message.contains("checksum")
-        ));
-        for len in 0..v1.len() {
-            assert!(SlimFastModel::from_bytes(&v1[..len]).is_err(), "len {len}");
-        }
-        // Re-serializing writes the current format, which also round-trips.
-        let v2 = model.to_bytes();
-        assert_eq!(
-            u32::from_le_bytes(v2[4..8].try_into().unwrap()),
-            MODEL_FORMAT_VERSION
-        );
-        let again = SlimFastModel::from_bytes(&v2).unwrap();
-        assert_eq!(again.weights(), model.weights());
     }
 
     #[test]

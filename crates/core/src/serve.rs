@@ -12,18 +12,18 @@
 //!   trust table. Snapshots are published by a single atomic swap, so a reader either
 //!   sees the old snapshot or the new one, never a half-updated model.
 //! * **The writer** owns the [`ServingEngine`]: it ingests claims into the wrapped
-//!   engine (window maintenance and compaction hygiene included), dispatches refits
-//!   onto the process-wide [`WorkerPool`] as *background jobs* when the engine's
-//!   [`RefitPolicy`] fires, and publishes fresh snapshots.
+//!   engine (window maintenance and compaction hygiene included), starts a refit on a
+//!   thread of its own when the engine's [`RefitPolicy`] fires, and publishes fresh
+//!   snapshots.
 //!
 //! # Snapshot lifecycle
 //!
 //! ```text
-//!              ingest (writer thread)                    background (pool worker)
+//!              ingest (writer thread)                    background (refit thread)
 //!  claims ──▶ FusionEngine::ingest_no_refit ──┐
 //!                                             ├─ policy fires? ──▶ training_snapshot ─▶ train()
 //!             every publish_every claims ─────┤                          │
-//!                    ▼                        ◀── poll: job finished? ◀──┘
+//!                    ▼                        ◀── poll: is_finished()? ◀─┘
 //!             clone model+data, compile       install_model + publish
 //!             trust table                     (model snapshot)
 //!                    ▼
@@ -65,7 +65,7 @@
 //! count, and training is bitwise-deterministic at any `SLIMFAST_THREADS` setting — so
 //! a published model snapshot is bitwise-identical to what a synchronous
 //! [`FusionEngine::refit`] at the capture's claim count would have served, no matter
-//! how long the background job ran or what else overlapped with it. The integration
+//! how long the background refit ran or what else overlapped with it. The integration
 //! tests assert exactly this.
 //!
 //! # Persistence & cold start
@@ -83,10 +83,11 @@
 //!
 //! # Fault tolerance
 //!
-//! A failed background refit — a panic on the pool worker or an error from training —
-//! never takes serving down: the writer keeps publishing (and readers keep serving)
-//! the current epoch-swapped snapshot, and the failure is handled by a supervision
-//! loop configured through [`RetryPolicy`]:
+//! A failed background refit — a panic on its thread, which [`JoinHandle::join`] hands
+//! back as a value, a thread the OS refused to start, or an error from training — never
+//! takes serving down: the writer keeps publishing (and readers keep serving) the
+//! current epoch-swapped snapshot, and the failure is handled by a supervision loop
+//! configured through [`RetryPolicy`]:
 //!
 //! * the first failure moves the engine to [`HealthState::Degraded`] and schedules a
 //!   retry after a claim-count backoff (deterministic — no wall clock), doubling per
@@ -111,17 +112,17 @@ use std::io::{Read, Write};
 use std::ops::Range;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
+use std::thread::JoinHandle;
 
 use slimfast_data::{
     atomic_write, format, snapshot as columnar, DataError, Dataset, FeatureMatrix, GroundTruth,
     NamedObservation, ObjectId, SnapshotDir, TruthAssignment, ValueId,
 };
-use slimfast_optim::{JobHandle, WorkerPool};
 
 use crate::config::RefitPolicy;
 use crate::engine::FusionEngine;
-use crate::exec::{execution_lanes, num_threads};
+use crate::exec::{self, execution_lanes, num_threads};
 use crate::model::SlimFastModel;
 use crate::optimizer::OptimizerDecision;
 use crate::slimfast::SlimFast;
@@ -130,10 +131,6 @@ use crate::slimfast::SlimFast;
 /// Constant — never derived from the thread count — so the task grid, and therefore
 /// the result, is identical in every configuration.
 const POSTERIOR_CHUNK: usize = 256;
-
-/// Batches below this many handles answer inline on the calling thread: the pool
-/// wakeup costs more than scoring a handful of objects.
-const POSTERIOR_INLINE_MIN: usize = 2 * POSTERIOR_CHUNK;
 
 /// Magic prefix of a serialized [`ModelSnapshot`] bundle ("SLiMFast Serving").
 const SNAPSHOT_MAGIC: [u8; 4] = *b"SLFS";
@@ -326,7 +323,7 @@ impl ModelSnapshot {
     /// the bundle's bounds-checked framing. With two execution lanes that check runs on
     /// a scoped thread beside the parse of the sections, and a mismatch discards
     /// whatever the parse produced, value or error; with one lane (`SLIMFAST_THREADS=1`,
-    /// a one-core host, or a call from inside a pool worker) the check runs first and
+    /// a one-core host, or a call from inside an executor lane) the check runs first and
     /// the sections are parsed only after it passes. Either way an input gives the same
     /// value or the same error. When the framing cannot be read, the whole bundle is
     /// verified first, so a corrupt bundle reports a checksum mismatch.
@@ -490,42 +487,22 @@ impl ModelSnapshot {
 
     /// Batched posteriors: one posterior per requested handle, in request order, with
     /// an empty posterior for out-of-range handles (so one bad id in a batch cannot
-    /// poison its neighbours). Large batches fan out over the process-wide
-    /// [`WorkerPool`] in fixed `POSTERIOR_CHUNK`-handle tasks; results are identical
-    /// at any thread count, and small batches answer inline without a pool wakeup.
+    /// poison its neighbours). Large batches fan out over [`exec::for_each_slice_mut`]
+    /// lanes in fixed `POSTERIOR_CHUNK`-handle tasks; results are identical at any
+    /// thread count, and batches under [`exec::INLINE_MIN_ITEMS`] handles answer
+    /// inline.
     pub fn posteriors(&self, ids: &[ObjectId]) -> Vec<Vec<f64>> {
-        let score_range = |range: std::ops::Range<usize>, out: &mut [Vec<f64>]| {
-            let mut scores = Vec::new();
-            for (slot, &o) in out.iter_mut().zip(&ids[range]) {
-                if o.index() < self.dataset.num_objects() {
-                    self.model
-                        .posterior_with_trust(&self.dataset, o, &self.trust, &mut scores);
-                    *slot = std::mem::take(&mut scores);
-                }
-            }
-        };
         let mut out: Vec<Vec<f64>> = vec![Vec::new(); ids.len()];
-        let num_tasks = ids.len().div_ceil(POSTERIOR_CHUNK).max(1);
-        let lanes = execution_lanes(num_threads(), num_tasks);
-        if ids.len() < POSTERIOR_INLINE_MIN || lanes <= 1 {
-            score_range(0..ids.len(), &mut out);
-            return out;
-        }
-        // Fixed chunk grid over disjoint output slices: each task owns its slots, so
-        // dynamic lane scheduling cannot change where (or what) anything is written.
-        type PosteriorChunk<'a> = Mutex<(usize, &'a mut [Vec<f64>])>;
-        let slices: Vec<PosteriorChunk<'_>> = out
-            .chunks_mut(POSTERIOR_CHUNK)
-            .enumerate()
-            .map(|(task, chunk)| Mutex::new((task * POSTERIOR_CHUNK, chunk)))
+        let boundaries: Vec<usize> = (0..ids.len())
+            .step_by(POSTERIOR_CHUNK)
+            .chain([ids.len()])
             .collect();
-        WorkerPool::global().run(slices.len(), lanes, |task| {
-            let mut slot = lock_ignore_poison(&slices[task]);
-            let (start, chunk) = &mut *slot;
-            let range = *start..*start + chunk.len();
-            score_range(range, chunk);
+        exec::for_each_slice_mut(&mut out, &boundaries, num_threads(), |task, chunk| {
+            let start = task * POSTERIOR_CHUNK;
+            for (slot, &o) in chunk.iter_mut().zip(&ids[start..]) {
+                *slot = self.posterior_by_id(o).unwrap_or_default();
+            }
         });
-        drop(slices);
         out
     }
 
@@ -542,23 +519,16 @@ impl ModelSnapshot {
     }
 }
 
-/// Locks a mutex, recovering the guard even if a panicking thread poisoned it.
-///
-/// Every mutex on the serving path guards a value that is only ever replaced
-/// wholesale (an `Arc` store, an `Option` slot, a disjoint output chunk), never
-/// mutated in place across a panic point — so a poisoned lock cannot expose a
-/// half-written value, and the query/supervision paths must keep working after a
-/// supervised panic rather than cascade it.
-fn lock_ignore_poison<T: ?Sized>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    mutex.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// [`lock_ignore_poison`], for the snapshot `RwLock` read side.
+/// Read-locks the snapshot store, recovering the guard even if a panicking thread
+/// poisoned it. The store only ever holds an `Arc` replaced wholesale, never mutated in
+/// place across a panic point, so a poisoned lock cannot expose a half-written value,
+/// and the query paths must keep working after a supervised panic rather than cascade
+/// it.
 fn read_ignore_poison<T: ?Sized>(lock: &RwLock<T>) -> std::sync::RwLockReadGuard<'_, T> {
     lock.read().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// [`lock_ignore_poison`], for the snapshot `RwLock` write side.
+/// [`read_ignore_poison`], for the write side.
 fn write_ignore_poison<T: ?Sized>(lock: &RwLock<T>) -> std::sync::RwLockWriteGuard<'_, T> {
     lock.write().unwrap_or_else(PoisonError::into_inner)
 }
@@ -581,16 +551,15 @@ struct ServeShared {
 
 /// What a supervised background training attempt produced: the trained model, or the
 /// error the `refit.train` fault site injected (production training is infallible —
-/// panics, not errors, are the real-world failure mode, and those surface through
-/// [`JobHandle::try_join`]).
+/// panics, not errors, are the real-world failure mode, and those surface as the
+/// `Err` of [`JoinHandle::join`]).
 type RefitOutcome = Result<(SlimFastModel, OptimizerDecision), DataError>;
 
-/// A background refit in flight on the worker pool.
+/// A background refit in flight on its own thread. Dropping the engine detaches a
+/// refit still training; its outcome is discarded.
 struct InFlightRefit {
-    handle: JobHandle,
-    /// The training outcome, deposited by the pool worker. Stays `None` if the job
-    /// panicked before storing — the supervisor reads the panic off the handle.
-    result: Arc<Mutex<Option<RefitOutcome>>>,
+    /// The training thread; it returns the outcome, or its panic payload on `join`.
+    handle: JoinHandle<RefitOutcome>,
     /// `claims_since_fit` covered by the capture (forwarded to
     /// [`FusionEngine::install_model`]).
     covered: usize,
@@ -750,7 +719,7 @@ pub struct ServingStats {
     pub claims_ingested: u64,
     /// Claims ingested but not yet reflected in the published snapshot's dataset.
     pub staleness: u64,
-    /// Whether a background refit is currently queued or training on the pool.
+    /// Whether a background refit is currently training.
     pub refit_in_flight: bool,
     /// Refits installed into the engine (synchronous and background alike).
     pub refits_installed: usize,
@@ -925,8 +894,8 @@ impl ServingEngine {
     /// data snapshot published on the [`ServingEngine::with_publish_every`] cadence.
     /// Returns the number of non-duplicate claims appended.
     ///
-    /// The refit itself runs on a [`WorkerPool`] background job — this method never
-    /// blocks on training, and readers keep serving the previous snapshot throughout.
+    /// The refit itself runs on a thread of its own — this method never blocks on
+    /// training, and readers keep serving the previous snapshot throughout.
     /// If the policy fires again while a refit is still in flight, no second job is
     /// dispatched; the policy is simply re-evaluated on a later ingest (the counters
     /// that made it fire keep accumulating, so the boundary is never lost).
@@ -989,7 +958,8 @@ impl ServingEngine {
         true
     }
 
-    /// Whether a background refit is currently queued or training.
+    /// Whether a background refit is currently training (or finished but not yet
+    /// resolved).
     pub fn refit_in_flight(&self) -> bool {
         self.refit.is_some()
     }
@@ -1125,23 +1095,26 @@ impl ServingEngine {
         }
         let snapshot = self.engine.training_snapshot();
         let covered = snapshot.claims_since_fit();
-        let result = Arc::new(Mutex::new(None));
-        let slot = Arc::clone(&result);
         #[cfg(test)]
         let latch = self.refit_latch.take();
-        let handle = WorkerPool::global().spawn(move || {
-            #[cfg(test)]
-            if let Some(latch) = latch {
-                let _ = latch.recv();
+        let spawned = std::thread::Builder::new()
+            .name("slimfast-refit".into())
+            .spawn(move || {
+                #[cfg(test)]
+                if let Some(latch) = latch {
+                    let _ = latch.recv();
+                }
+                snapshot.try_train()
+            });
+        match spawned {
+            Ok(handle) => self.refit = Some(InFlightRefit { handle, covered }),
+            // The OS refused a thread: a failed refit like any other, so serving goes on.
+            Err(err) => {
+                let claims = self.shared.claims_ingested.load(Ordering::Relaxed);
+                self.supervision
+                    .record_failure(format!("refit thread failed to start: {err}"), claims);
             }
-            let trained = snapshot.try_train();
-            *lock_ignore_poison(&slot) = Some(trained);
-        });
-        self.refit = Some(InFlightRefit {
-            handle,
-            result,
-            covered,
-        });
+        }
     }
 
     /// Joins the in-flight refit (blocking if it is still training) and resolves it.
@@ -1151,17 +1124,14 @@ impl ServingEngine {
     /// only be called when `self.refit.is_some()`.
     fn resolve_refit(&mut self) -> bool {
         let refit = self.refit.take().expect("a refit is in flight");
-        let outcome = match refit.handle.try_join() {
-            Ok(()) => lock_ignore_poison(&refit.result).take().unwrap_or_else(|| {
-                Err(DataError::Invalid(
-                    "refit job finished without storing a result".into(),
-                ))
-            }),
-            Err(panic) => Err(DataError::Invalid(format!(
-                "refit job panicked: {}",
-                panic.message()
-            ))),
-        };
+        let outcome = refit.handle.join().unwrap_or_else(|payload| {
+            let message = payload
+                .downcast_ref::<&str>()
+                .copied()
+                .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+                .unwrap_or("non-string panic payload");
+            Err(DataError::Invalid(format!("refit job panicked: {message}")))
+        });
         match outcome {
             Ok((model, decision)) => {
                 self.engine.install_model(model, decision, refit.covered);
@@ -1251,8 +1221,7 @@ impl ServingReader {
     /// Batched posteriors from one consistent snapshot (the whole batch is answered at
     /// a single epoch). See [`ModelSnapshot::posteriors`].
     pub fn posteriors(&mut self, ids: &[ObjectId]) -> Vec<Vec<f64>> {
-        // Clone the Arc so the borrow of `self` ends before the (potentially pooled)
-        // batch runs.
+        // Clone the Arc so the borrow of `self` ends before the batch runs.
         let snapshot = Arc::clone(self.snapshot());
         snapshot.posteriors(ids)
     }
@@ -1397,8 +1366,8 @@ mod tests {
         serving.publish_now();
         let snapshot = serving.snapshot();
         let num_objects = snapshot.dataset().num_objects();
-        // A large batch (forcing the pooled path) with some out-of-range ids mixed in.
-        let ids: Vec<ObjectId> = (0..POSTERIOR_INLINE_MIN + 100)
+        // A large batch (several lanes' worth of chunks) with some out-of-range ids.
+        let ids: Vec<ObjectId> = (0..exec::INLINE_MIN_ITEMS + 100)
             .map(|i| {
                 if i % 97 == 13 {
                     ObjectId::new(num_objects + i)

@@ -44,7 +44,7 @@ thread_local! {
 /// Intended for tests and benchmarks that assert incremental ingest stays off the
 /// O(dataset) path. A pass runs entirely on the thread that calls it, so the count is
 /// per thread: builds on other threads (a test harness running tests in parallel, a
-/// pool worker) never move it. It is monotone.
+/// background refit) never move it. It is monotone.
 pub fn full_index_passes() -> u64 {
     FULL_INDEX_PASSES.with(Cell::get)
 }

@@ -42,7 +42,7 @@
 //! `fault-injection` feature) that keeps those failure paths tested.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod dataset;
 pub mod error;

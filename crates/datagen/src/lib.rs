@@ -20,7 +20,7 @@
 //! All generation is deterministic given a seed.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod datasets;
 pub mod dist;

@@ -20,7 +20,7 @@
 //! * [`tables`] — plain-text rendering of result grids in the layout of the paper's tables.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod lineup;
 pub mod metrics;

@@ -4,11 +4,9 @@
 //!
 //! The grid is embarrassingly parallel: every (method, training fraction, split) run is
 //! independent, so the runner fans the flattened run list out over the deterministic
-//! executor ([`slimfast_core::exec`]) — i.e. the process-wide persistent worker pool,
-//! shared with training, so repeated grids wake parked workers instead of spawning
-//! threads — and aggregates the outcomes in run order. Grid cells run *inside* pool
-//! lanes, so the nesting guard collapses each cell's inner fit to one thread instead of
-//! oversubscribing the machine quadratically. Metric results are identical at any
+//! executor ([`slimfast_core::exec`]) and aggregates the outcomes in run order. Grid
+//! cells run *inside* executor lanes, so the nesting guard collapses each cell's inner
+//! fit to one thread instead of oversubscribing the machine quadratically. Metric results are identical at any
 //! `SLIMFAST_THREADS` setting; only the per-run wall-clock timings vary with machine
 //! load.
 

@@ -4,7 +4,7 @@
 //! refit paid inline on the streaming thread), this scenario drives the *serving tier*
 //! ([`slimfast_core::serve::ServingEngine`]) the way a deployment would: claims stream
 //! in per phase, a background refit is dispatched at each phase boundary and trains on
-//! the worker pool **while the phase's claims keep ingesting**, snapshots publish on a
+//! its own thread **while the phase's claims keep ingesting**, snapshots publish on a
 //! fixed claim cadence, and posterior queries are answered from the published snapshots
 //! throughout.
 //!

@@ -18,7 +18,7 @@
 //! log-linear factors); it is not a general PGM toolkit.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod gibbs;
 pub mod graph;

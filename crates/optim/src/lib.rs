@@ -11,9 +11,9 @@
 //! * [`penalty::Penalty`] — `L1` / `L2` / elastic-net regularization, including the
 //!   proximal (soft-thresholding) update that makes `L1` produce exactly-sparse weights,
 //!   which Theorem 2's `√(k log|K|)` refinement and the lasso-path analysis rely on.
-//! * [`exec`] / [`pool`] — the deterministic parallel executor: a process-wide
-//!   persistent worker pool plus fixed-chunk-grid primitives whose results are
-//!   bitwise-identical at any thread count.
+//! * [`exec`] — the deterministic parallel executor: fixed-chunk-grid primitives on
+//!   `std::thread::scope` lanes whose results are bitwise-identical at any thread
+//!   count.
 //! * [`kernels`] — batched, bitwise-deterministic sigmoid/softmax/dot/scatter
 //!   kernels over flat structure-of-arrays slices; every training and serving
 //!   hot loop bottoms out here.
@@ -25,7 +25,7 @@
 //!   source accuracy from the pairwise agreement matrix (Section 4.3).
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod exec;
 pub mod kernels;
@@ -33,7 +33,6 @@ pub mod lasso;
 pub mod logistic;
 pub mod matrix;
 pub mod penalty;
-pub mod pool;
 pub mod schedule;
 pub mod sgd;
 pub mod sparse;
@@ -45,7 +44,6 @@ pub use logistic::{
 };
 pub use matrix::{rank_one_completion, rank_one_factorize, AgreementMatrix};
 pub use penalty::Penalty;
-pub use pool::{JobHandle, JobPanic, WorkerPool};
 pub use schedule::LearningRate;
 pub use sgd::{auto_batch_size, minimize, FitResult, SgdConfig, StochasticObjective};
 pub use sparse::SparseVec;

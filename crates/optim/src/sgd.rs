@@ -5,22 +5,17 @@
 //! proximal (soft-thresholding) step for `L1`.
 
 use std::cell::RefCell;
-use std::sync::Mutex;
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::exec;
 use crate::penalty::Penalty;
 use crate::schedule::LearningRate;
 use crate::sparse::SparseVec;
 
 /// A differentiable objective expressed as a finite sum of per-example losses.
-///
-/// Objectives must be `Sync`: the batched minimizer shards gradient accumulation over
-/// disjoint example ranges on several threads (see [`SgdConfig::batch_size`]).
-pub trait StochasticObjective: Sync {
+pub trait StochasticObjective {
     /// Dimension of the parameter vector.
     fn num_params(&self) -> usize;
 
@@ -35,11 +30,11 @@ pub trait StochasticObjective: Sync {
     /// gradient entries to `entries` in example order (duplicate coordinates allowed —
     /// the batch reducer merges them deterministically, in push order).
     ///
-    /// This is the unit of work the batched minimizer hands to a worker lane. The
-    /// default implementation loops [`example_loss_grad`](Self::example_loss_grad) over
-    /// a thread-local scratch vector, which reproduces the historical per-example chunk
-    /// behaviour bit for bit. Objectives with a flat structure-of-arrays layout override
-    /// it to batch the math through [`crate::kernels`].
+    /// This is the unit of work of the batched minimizer: one call per 32-example
+    /// chunk of a batch. The default implementation loops
+    /// [`example_loss_grad`](Self::example_loss_grad) over a thread-local scratch
+    /// vector. Objectives with a flat structure-of-arrays layout override it to batch
+    /// the math through [`crate::kernels`].
     fn chunk_loss_grad(
         &self,
         w: &[f64],
@@ -78,21 +73,13 @@ pub struct SgdConfig {
     /// Examples per parameter update. `0` (the default) **auto-tunes** the batch size
     /// from the objective's example count via [`auto_batch_size`]; a fixed value stays
     /// available as an explicit override. `1` is classic per-example SGD.
-    /// Larger batches switch to the deterministic parallel minimizer: each batch's
-    /// gradient is accumulated over fixed-size example chunks that can run on several
-    /// threads, reduced in chunk order so the result is bitwise-identical at any thread
-    /// count. Batching only engages when the objective has at least `4 * batch_size`
-    /// examples — below that, per-example updates converge faster and parallelism has
-    /// nothing to amortize. One batch parallelizes over at most
-    /// `batch_size / 32` workers (the fixed chunk grid), so raise the batch size on
-    /// many-core machines. With `adagrad` off, batched updates apply the *mean* batch
-    /// gradient so step magnitudes stay comparable to the per-example path.
+    /// Larger batches switch to the mini-batch minimizer: each batch's gradient is
+    /// accumulated over fixed 32-example chunks and applied as one update.
+    /// Batching only engages when the objective has at least `4 * batch_size`
+    /// examples — below that, per-example updates converge faster. With `adagrad` off,
+    /// batched updates apply the *mean* batch gradient so step magnitudes stay
+    /// comparable to the per-example path.
     pub batch_size: usize,
-    /// Worker threads for the batched path. `0` resolves `SLIMFAST_THREADS` /
-    /// available parallelism (see [`crate::exec::resolve_threads`]). The thread count
-    /// never changes results, only wall-clock time; the lanes actually run are capped
-    /// at the machine's parallelism ([`crate::exec::max_lanes`]).
-    pub threads: usize,
 }
 
 impl Default for SgdConfig {
@@ -106,7 +93,6 @@ impl Default for SgdConfig {
             tolerance: 1e-5,
             adagrad: true,
             batch_size: 0,
-            threads: 0,
         }
     }
 }
@@ -134,8 +120,7 @@ impl SgdConfig {
 
     /// The batch size this configuration uses on an objective with `num_examples`
     /// examples: the explicit [`SgdConfig::batch_size`] when non-zero, otherwise
-    /// [`auto_batch_size`]. Depends only on the configuration and the example count —
-    /// never on thread counts — so resolved runs stay bitwise-deterministic.
+    /// [`auto_batch_size`]. Depends only on the configuration and the example count.
     pub fn resolved_batch_size(&self, num_examples: usize) -> usize {
         match self.batch_size {
             0 => auto_batch_size(num_examples),
@@ -145,21 +130,17 @@ impl SgdConfig {
 }
 
 /// Examples below which [`auto_batch_size`] keeps classic per-example SGD: small
-/// objectives converge faster with per-example updates and have nothing to amortize
-/// across threads.
+/// objectives converge faster with per-example updates.
 pub const AUTO_BATCH_MIN_EXAMPLES: usize = 1024;
 
 /// The batch size used when [`SgdConfig::batch_size`] is `0` ("auto").
 ///
-/// Tuned from the objective's example count **alone** — never from the thread count or
-/// the machine — so a fitted model stays bitwise-identical across `SLIMFAST_THREADS`
-/// settings. Objectives under [`AUTO_BATCH_MIN_EXAMPLES`] examples use per-example SGD;
-/// larger ones get `num_examples / 256` examples per batch, clamped to `[64, 2048]` and
-/// rounded down to a whole number of 32-example gradient chunks (the fixed chunk grid
-/// of the batched minimizer). The paper's
-/// "millions of claims" regime therefore lands at the 2048 cap — 64 chunks per batch,
-/// enough grid for a many-core machine — while a 5k-claim fit gets 64-example batches
-/// whose two-chunk grids run inline on the caller.
+/// Tuned from the objective's example count **alone**, never from the machine.
+/// Objectives under [`AUTO_BATCH_MIN_EXAMPLES`] examples use per-example SGD; larger
+/// ones get `num_examples / 256` examples per batch, clamped to `[64, 2048]` and
+/// rounded down to a whole number of 32-example gradient chunks. The paper's "millions
+/// of claims" regime therefore lands at the 2048 cap, while a 5k-claim fit gets
+/// 64-example batches.
 pub fn auto_batch_size(num_examples: usize) -> usize {
     if num_examples < AUTO_BATCH_MIN_EXAMPLES {
         return 1;
@@ -283,100 +264,32 @@ pub fn minimize<O: StochasticObjective>(
     }
 }
 
-/// Examples per gradient-accumulation chunk in the batched minimizer. Fixed (never
-/// derived from the thread count) so the chunk grid — and therefore every
-/// floating-point reduction order — is identical no matter how many workers run.
-/// Kept well below the default batch size so a default-configured batch splits into
-/// several chunks and actually spreads across workers; `batch_size / GRAD_CHUNK` is the
-/// parallelism ceiling of one batch, so many-core machines should raise
-/// [`SgdConfig::batch_size`] accordingly. The chunk size never changes results: partial
-/// entries are appended in example order and chunks are reduced in index order, so the
-/// flattened accumulation sequence equals global example order for any chunk size.
+/// Examples per gradient-accumulation chunk in the batched minimizer. Each chunk's loss
+/// is summed on its own and the chunk subtotals are added in chunk order, so this
+/// constant fixes the floating-point summation order of the loss history. Gradient
+/// entries are appended in example order whatever the chunk size.
 const GRAD_CHUNK: usize = 32;
 
-/// One chunk's contribution to a batch gradient: the summed loss and the raw
-/// `(coordinate, value)` gradient entries in example order.
-#[derive(Default)]
-struct ChunkPartial {
-    loss: f64,
-    entries: Vec<(usize, f64)>,
-}
-
-/// Locks a chunk partial, shrugging off poison: an objective panic can poison the slot
-/// mid-write, but arenas outlive fits on the freelist and every batch fully resets a
-/// slot (`loss = 0`, `entries.clear()`) before reading it, so stale state is never
-/// observed.
-fn lock_partial(slot: &Mutex<ChunkPartial>) -> std::sync::MutexGuard<'_, ChunkPartial> {
-    slot.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
 thread_local! {
-    /// Per-lane gradient scratch, reused across every chunk, batch, and `minimize` call
-    /// that runs on this thread (pool workers live for the whole process, so in steady
-    /// state chunk accumulation allocates nothing). Taken out of the cell while in use
-    /// so a re-entrant objective degrades to a fresh allocation instead of a panic.
+    /// Gradient scratch of [`StochasticObjective::chunk_loss_grad`]'s default
+    /// implementation, reused across every chunk, batch and `minimize` call on this
+    /// thread. Taken out of the cell while in use, so a re-entrant objective degrades to
+    /// a fresh allocation instead of a panic.
     static GRAD_SCRATCH: RefCell<SparseVec> = RefCell::new(SparseVec::new());
 }
 
-/// Process-wide freelist of chunk-partial arenas. One arena is checked out per batched
-/// `minimize` call and returned on exit (including unwinds), so consecutive fits reuse
-/// the same chunk buffers instead of reallocating them every time.
-static FREE_SCRATCH: Mutex<Vec<Vec<Mutex<ChunkPartial>>>> = Mutex::new(Vec::new());
-
-/// A checked-out chunk-partial arena; returns itself to [`FREE_SCRATCH`] on drop.
-struct ScratchLease {
-    partials: Vec<Mutex<ChunkPartial>>,
-}
-
-impl ScratchLease {
-    /// Takes an arena off the freelist (or starts a fresh one) and grows it to at least
-    /// `max_chunks` slots. Contents are stale from previous use; every batch fully
-    /// resets the slots it touches before reading them.
-    fn checkout(max_chunks: usize) -> Self {
-        let mut partials = FREE_SCRATCH
-            .lock()
-            .expect("scratch freelist")
-            .pop()
-            .unwrap_or_default();
-        if partials.len() < max_chunks {
-            partials.resize_with(max_chunks, || Mutex::new(ChunkPartial::default()));
-        }
-        Self { partials }
-    }
-}
-
-impl Drop for ScratchLease {
-    fn drop(&mut self) {
-        FREE_SCRATCH
-            .lock()
-            .expect("scratch freelist")
-            .push(std::mem::take(&mut self.partials));
-    }
-}
-
-/// Deterministic mini-batch SGD with parallel gradient accumulation.
+/// Deterministic mini-batch SGD.
 ///
 /// Per epoch the example order is shuffled exactly like the sequential path (same RNG,
 /// same seed), then consumed in batches of the resolved batch size. Each batch is cut
-/// into fixed [`GRAD_CHUNK`]-sized chunks; lanes accumulate per-chunk loss and sparse
-/// gradient entries into per-chunk slots, and the coordinator reduces the chunks **in
-/// chunk-index order** into a dense gradient before applying one (AdaGrad-scaled,
-/// proximally penalized) update. Because the chunk grid, the per-chunk computation, and
-/// the reduction order are all independent of the worker count, results are
-/// bitwise-identical at any `threads` setting.
+/// into fixed [`GRAD_CHUNK`]-sized chunks: every chunk appends its sparse gradient
+/// entries to one buffer and adds its loss subtotal to the epoch loss, in chunk order,
+/// and the buffer is reduced into a dense gradient before one (AdaGrad-scaled,
+/// proximally penalized) update.
 ///
 /// With AdaGrad the summed batch gradient is applied directly (the accumulator is scale
 /// adaptive); without it the **mean** batch gradient is used, so step magnitudes stay
 /// comparable to the per-example path instead of growing with the batch size.
-///
-/// Batches run on the process-wide persistent [`exec::WorkerPool`] — no threads are
-/// spawned per call, and parked workers are woken once per batch. Chunk grids smaller
-/// than `2 × lanes` (every batch of a small fit) run inline on the caller without
-/// touching the pool at all. Gradient scratch is thread-local and the chunk-partial
-/// arena is checked out of a process-wide freelist, so steady-state batches allocate
-/// nothing. A panic inside the objective on any lane is re-raised on the caller's
-/// thread by the pool after the batch drains.
 fn minimize_batched<O: StochasticObjective>(
     objective: &O,
     weights: Vec<f64>,
@@ -385,20 +298,16 @@ fn minimize_batched<O: StochasticObjective>(
 ) -> FitResult {
     let n_params = objective.num_params();
     let n_examples = objective.num_examples();
-    let max_chunks = batch_size.div_ceil(GRAD_CHUNK);
-    let lanes = exec::execution_lanes(exec::resolve_threads(config.threads), max_chunks);
     const ADAGRAD_EPS: f64 = 1e-8;
 
     let mut weights = weights;
-    let scratch = ScratchLease::checkout(max_chunks);
-    let partials = &scratch.partials;
-
     let mut rng = StdRng::seed_from_u64(config.seed);
     let mut order: Vec<usize> = (0..n_examples).collect();
     let mut adagrad_acc = vec![0.0f64; n_params];
     let mut dense_grad = vec![0.0f64; n_params];
     let mut stamp = vec![0u64; n_params];
     let mut touched: Vec<usize> = Vec::new();
+    let mut entries: Vec<(usize, f64)> = Vec::new();
     let mut tick = 0u64;
     let mut loss_history: Vec<f64> = Vec::with_capacity(config.epochs);
     let mut converged = false;
@@ -414,51 +323,24 @@ fn minimize_batched<O: StochasticObjective>(
         let mut start = 0usize;
         while start < n_examples {
             let end = (start + batch_size).min(n_examples);
-            let num_chunks = (end - start).div_ceil(GRAD_CHUNK);
-            {
-                // Accumulate the chunks of this batch: chunk `c` covers the fixed
-                // example window `start + c*GRAD_CHUNK ..` of the shuffled order and
-                // writes only to `partials[c]`, so scheduling cannot change results.
-                let weights_ref = &weights;
-                let order_ref = &order;
-                let run_chunk = |chunk: usize| {
-                    let chunk_start = start + chunk * GRAD_CHUNK;
-                    let chunk_end = (chunk_start + GRAD_CHUNK).min(end);
-                    let mut partial = lock_partial(&partials[chunk]);
-                    let partial = &mut *partial;
-                    partial.entries.clear();
-                    partial.loss = objective.chunk_loss_grad(
-                        weights_ref,
-                        &order_ref[chunk_start..chunk_end],
-                        &mut partial.entries,
-                    );
-                };
-                if lanes <= 1 || num_chunks < 2 * lanes {
-                    for chunk in 0..num_chunks {
-                        run_chunk(chunk);
-                    }
-                } else {
-                    exec::WorkerPool::global().run(num_chunks, lanes, run_chunk);
-                }
+            entries.clear();
+            for chunk in order[start..end].chunks(GRAD_CHUNK) {
+                epoch_loss += objective.chunk_loss_grad(&weights, chunk, &mut entries);
             }
 
-            // Reduce the chunk partials in chunk order, then apply one update.
+            // Reduce the batch's entries in push order, then apply one update.
             tick += 1;
             touched.clear();
-            for partial in partials.iter().take(num_chunks) {
-                let partial = lock_partial(partial);
-                epoch_loss += partial.loss;
-                for &(i, g) in &partial.entries {
-                    if i >= n_params {
-                        continue;
-                    }
-                    if stamp[i] != tick {
-                        stamp[i] = tick;
-                        dense_grad[i] = 0.0;
-                        touched.push(i);
-                    }
-                    dense_grad[i] += g;
+            for &(i, g) in &entries {
+                if i >= n_params {
+                    continue;
                 }
+                if stamp[i] != tick {
+                    stamp[i] = tick;
+                    dense_grad[i] = 0.0;
+                    touched.push(i);
+                }
+                dense_grad[i] += g;
             }
             let base_rate = if config.adagrad {
                 config.learning_rate.rate(0)
@@ -694,7 +576,6 @@ mod tests {
             epochs: 60,
             tolerance: 0.0,
             batch_size: 64,
-            threads: 1,
             ..SgdConfig::default()
         };
         let fit = minimize(&obj, None, &config);
@@ -713,62 +594,31 @@ mod tests {
         );
     }
 
-    #[test]
-    fn batched_sgd_is_bitwise_identical_at_any_thread_count() {
-        let obj = big_regression(5000);
-        let fit_with = |threads: usize| {
-            let config = SgdConfig {
-                epochs: 8,
-                tolerance: 0.0,
-                seed: 9,
-                batch_size: 512,
-                threads,
-                ..SgdConfig::default()
-            };
-            minimize(&obj, None, &config)
-        };
-        let reference = fit_with(1);
-        for threads in [2, 3, 4] {
-            let fit = fit_with(threads);
-            let bits = |w: &[f64]| w.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(
-                bits(&reference.weights),
-                bits(&fit.weights),
-                "threads = {threads}"
-            );
-            assert_eq!(
-                bits(&reference.loss_history),
-                bits(&fit.loss_history),
-                "threads = {threads}"
-            );
+    /// FNV-1a over the bits of a fit's weights, then its loss history.
+    fn fit_hash(fit: &FitResult) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for x in fit.weights.iter().chain(&fit.loss_history) {
+            for byte in x.to_bits().to_le_bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
         }
+        hash
     }
 
     #[test]
-    fn batched_sgd_propagates_objective_panics_instead_of_deadlocking() {
-        struct Panicky;
-        impl StochasticObjective for Panicky {
-            fn num_params(&self) -> usize {
-                2
-            }
-            fn num_examples(&self) -> usize {
-                4096
-            }
-            fn example_loss_grad(&self, _: &[f64], example: usize, grad: &mut SparseVec) -> f64 {
-                assert!(example != 1234, "poisoned example");
-                grad.add(0, 0.1);
-                0.0
-            }
-        }
+    fn batched_sgd_bits_are_pinned() {
+        // 16 chunks per batch. The hash pins the bits: the shuffle, the chunk order and
+        // the per-chunk loss subtotals must not move.
         let config = SgdConfig {
-            epochs: 1,
-            batch_size: 256,
-            threads: 3,
-            shuffle: false,
+            epochs: 8,
+            tolerance: 0.0,
+            seed: 9,
+            batch_size: 512,
             ..SgdConfig::default()
         };
-        let result = std::panic::catch_unwind(|| minimize(&Panicky, None, &config));
-        assert!(result.is_err(), "the objective panic must reach the caller");
+        let fit = minimize(&big_regression(5000), None, &config);
+        assert_eq!(fit.loss_history.len(), 8);
+        assert_eq!(fit_hash(&fit), 0x61bd_273f_5aa2_8ab6);
     }
 
     #[test]
@@ -793,7 +643,6 @@ mod tests {
                 epochs: 20,
                 tolerance: 0.0,
                 batch_size: 64,
-                threads: 4,
                 ..SgdConfig::default()
             },
         );
@@ -839,15 +688,14 @@ mod tests {
 
     #[test]
     fn scratch_reuse_across_consecutive_batched_fits_is_bitwise_deterministic() {
-        // The first call checks a fresh chunk arena out of the freelist; the second
-        // reuses it. Any state leaking across fits would break this equality.
+        // The second call reuses the thread-local gradient scratch the first one left
+        // behind. Any state leaking across fits would break this equality.
         let obj = big_regression(6000);
         let config = SgdConfig {
             epochs: 5,
             tolerance: 0.0,
             seed: 21,
             batch_size: 256,
-            threads: 2,
             ..SgdConfig::default()
         };
         let a = minimize(&obj, None, &config);

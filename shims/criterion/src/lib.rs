@@ -11,7 +11,7 @@
 //! relative comparisons. Passing `--test` (as `cargo test --benches` does) runs each
 //! benchmark body once and skips measurement.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 use std::hint;
 use std::time::{Duration, Instant};

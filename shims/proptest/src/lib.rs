@@ -14,7 +14,7 @@
 //! case number so it can be replayed, which is enough signal for this workspace. Cases are
 //! generated from a deterministic per-test seed, so test runs are reproducible.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod test_runner {
     //! Configuration and the deterministic RNG driving generation.

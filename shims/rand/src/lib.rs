@@ -14,7 +14,7 @@
 //! upstream `StdRng` (ChaCha12), so swapping the real crate back in will change sampled
 //! values but not any API.
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 /// A random number generator: the single entry point is a uniform `u64` stream; every
 /// other sampling method derives from it.

@@ -83,7 +83,7 @@
 //! without retraining, serving posteriors bitwise-identical to the pre-save engine.
 
 #![warn(missing_docs)]
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub use slimfast_baselines as baselines;
 pub use slimfast_core as core;

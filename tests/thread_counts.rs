@@ -1,14 +1,13 @@
-//! Lifecycle tests for the persistent worker pool: one process-wide pool serves every
-//! fit and never lets reuse (or lane count) leak into results.
+//! Thread-count tests of whole fits: consecutive fits at interleaved thread counts
+//! never let the lane count leak into results.
 //!
-//! The instance is sized so the pool-engagement conditions genuinely hold (asserted
-//! below): the E-step grid spans several object chunks above the inline item
-//! threshold — so on any multi-core machine these fits actually publish pool jobs. (On
-//! a single-core machine the lane clamp collapses them to inline execution by design;
-//! the in-crate pool unit tests cover multi-worker scheduling there by bypassing the
-//! clamp.)
+//! The instance is sized so the parallel E-step genuinely engages (asserted below): its
+//! grid spans several object chunks above the inline item threshold — so on any
+//! multi-core machine these fits actually spawn lanes. (On a single-core machine the
+//! lane clamp collapses them to inline execution by design; the executor's unit tests
+//! in `slimfast-optim` cover the lanes themselves.)
 //!
-//! The companion `SLIMFAST_THREADS`-mutation test lives alone in `pool_env.rs`:
+//! The companion `SLIMFAST_THREADS`-mutation test lives alone in `thread_env.rs`:
 //! mutating the process environment from a multi-threaded libtest binary is a data
 //! race, so it gets its own process.
 
@@ -20,7 +19,7 @@ use slimfast::prelude::*;
 /// chunks; small enough for a debug-mode test (EM is capped at 3 iterations below).
 fn instance() -> SyntheticInstance {
     SyntheticConfig {
-        name: "pool-reuse".into(),
+        name: "thread-counts".into(),
         num_sources: 100,
         num_objects: 2_500,
         domain_size: 2,
@@ -53,8 +52,8 @@ fn config(threads: usize) -> SlimFastConfig {
 }
 
 /// Fails loudly if future tuning changes shrink this instance below the thresholds at
-/// which multi-lane machines actually route these fits through the pool.
-fn assert_pool_engages(instance: &SyntheticInstance) {
+/// which multi-lane machines actually run these fits' E-steps on several lanes.
+fn assert_lanes_engage(instance: &SyntheticInstance) {
     let posterior_slots = 2 * instance.dataset.num_objects();
     assert!(
         posterior_slots >= exec::INLINE_MIN_ITEMS,
@@ -73,18 +72,19 @@ fn fit_weight_bits(instance: &SyntheticInstance, threads: usize) -> Vec<u64> {
     model.weights().iter().map(|w| w.to_bits()).collect()
 }
 
-/// Consecutive fits share one process-wide pool; interleaving thread counts across fits must leave every fit bitwise-identical.
+/// Interleaving thread counts across consecutive fits must leave every fit
+/// bitwise-identical.
 #[test]
-fn pool_reuse_across_consecutive_fits_is_bitwise_deterministic() {
+fn consecutive_fits_at_interleaved_thread_counts_are_bitwise_deterministic() {
     let inst = instance();
-    assert_pool_engages(&inst);
+    assert_lanes_engage(&inst);
     let first_t1 = fit_weight_bits(&inst, 1);
     let first_t4 = fit_weight_bits(&inst, 4);
     let second_t1 = fit_weight_bits(&inst, 1);
     let second_t4 = fit_weight_bits(&inst, 4);
     assert_eq!(first_t1, first_t4, "thread count changed fitted weights");
-    assert_eq!(first_t1, second_t1, "pool reuse changed a 1-thread fit");
-    assert_eq!(first_t4, second_t4, "pool reuse changed a 4-thread fit");
+    assert_eq!(first_t1, second_t1, "a repeated 1-thread fit changed");
+    assert_eq!(first_t4, second_t4, "a repeated 4-thread fit changed");
 }
 
 /// Explicit thread requests beyond the machine's parallelism are clamped to real lanes

@@ -12,7 +12,7 @@ use slimfast::prelude::*;
 
 fn instance() -> SyntheticInstance {
     SyntheticConfig {
-        name: "pool-env".into(),
+        name: "thread-env".into(),
         num_sources: 100,
         num_objects: 2_500,
         domain_size: 2,
@@ -48,12 +48,12 @@ fn fit_weight_bits(instance: &SyntheticInstance, threads: usize) -> Vec<u64> {
     model.weights().iter().map(|w| w.to_bits()).collect()
 }
 
-/// The pool survives `SLIMFAST_THREADS` changes between fits: reconfiguring the
-/// environment only changes how many lanes the next auto-resolved fit asks for — no
-/// teardown, no re-initialisation, and no drift in results. (Explicit thread counts
-/// never read the variable, which also pins down the precedence rule.)
+/// Fits survive `SLIMFAST_THREADS` changes between them: reconfiguring the
+/// environment only changes how many lanes the next auto-resolved fit asks for, with
+/// no drift in results. (Explicit thread counts never read the variable, which also
+/// pins down the precedence rule.)
 #[test]
-fn pool_survives_thread_env_changes_between_fits() {
+fn fits_survive_thread_env_changes_between_them() {
     let inst = instance();
     let reference = fit_weight_bits(&inst, 1);
     for env_threads in ["1", "4", "2", "4"] {
@@ -66,7 +66,6 @@ fn pool_survives_thread_env_changes_between_fits() {
         );
     }
     std::env::remove_var(exec::THREADS_ENV);
-    // The pool never shrinks: whatever lanes earlier fits spawned are still parked and
-    // reusable, and a fresh fit still works after the variable is gone.
+    // A fresh fit still works after the variable is gone.
     assert_eq!(reference, fit_weight_bits(&inst, 0));
 }
