@@ -140,7 +140,7 @@ impl FusionEstimator for Accu {
             .map(|s| {
                 let mut correct = 0.0f64;
                 let mut labelled = 0.0f64;
-                for &(o, v) in dataset.observations_by_source(s) {
+                for &(o, v) in dataset.observations_by_source(s).iter() {
                     if let Some(label) = truth.get(o) {
                         labelled += 1.0;
                         if v == label {
@@ -178,7 +178,7 @@ impl FusionEstimator for Accu {
                     continue;
                 }
                 let mut sum = 0.0;
-                for &(o, v) in observations {
+                for &(o, v) in observations.iter() {
                     let domain = dataset.domain(o);
                     if let Some(idx) = domain.iter().position(|&d| d == v) {
                         sum += posteriors[o.index()].get(idx).copied().unwrap_or(0.0);

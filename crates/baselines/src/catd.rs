@@ -179,7 +179,7 @@ impl FusionEstimator for Catd {
                     continue;
                 }
                 let mut errors = 0.0f64;
-                for &(o, v) in observations {
+                for &(o, v) in observations.iter() {
                     let domain = dataset.domain(o);
                     if let (Some(estimate), Some(idx)) =
                         (estimates[o.index()], domain.iter().position(|&d| d == v))

@@ -121,7 +121,7 @@ impl FusionEstimator for Counts {
             .map(|s| {
                 let mut correct = 0.0f64;
                 let mut total = 0.0f64;
-                for &(o, v) in dataset.observations_by_source(s) {
+                for &(o, v) in dataset.observations_by_source(s).iter() {
                     if let Some(label) = truth.get(o) {
                         total += 1.0;
                         if v == label {

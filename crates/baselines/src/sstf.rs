@@ -175,7 +175,7 @@ impl FusionEstimator for Sstf {
                     continue;
                 }
                 let mut sum = 0.0;
-                for &(o, v) in observations {
+                for &(o, v) in observations.iter() {
                     if let Some(idx) = dataset.domain(o).iter().position(|&d| d == v) {
                         sum += confidence[o.index()][idx];
                     }

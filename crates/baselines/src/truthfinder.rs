@@ -151,7 +151,7 @@ impl FusionEstimator for TruthFinder {
                     continue;
                 }
                 let mut sum = 0.0;
-                for &(o, v) in observations {
+                for &(o, v) in observations.iter() {
                     let domain = dataset.domain(o);
                     if let Some(idx) = domain.iter().position(|&d| d == v) {
                         sum += claim_confidence[o.index()][idx];

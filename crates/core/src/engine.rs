@@ -15,8 +15,6 @@
 //! delta back into the base arrays periodically (and before every refit) — so neither
 //! ingest nor windowing ever pays an O(dataset) rebuild per claim.
 
-use std::collections::VecDeque;
-
 use slimfast_data::{
     DataError, Dataset, FeatureMatrix, FusionInput, GroundTruth, NamedObservation, ObjectId,
     SourceAccuracies, SourceId, TruthAssignment, ValueId,
@@ -97,9 +95,6 @@ pub struct FusionEngine {
     claims_since_fit: usize,
     refits: usize,
     window: Option<WindowConfig>,
-    /// Live claims in arrival order; the eviction frontier of the sliding window.
-    /// Maintained only when a window is configured.
-    window_queue: VecDeque<(SourceId, ObjectId)>,
     evictions: usize,
 }
 
@@ -158,7 +153,6 @@ impl FusionEngine {
             claims_since_fit: 0,
             refits: 0,
             window: None,
-            window_queue: VecDeque::new(),
             evictions: 0,
         };
         engine.rate_at_fit = engine.current_rate();
@@ -173,11 +167,12 @@ impl FusionEngine {
     /// See [`WindowConfig`] for how windowing composes with
     /// [`RefitPolicy::DriftThreshold`].
     pub fn with_window(mut self, window: WindowConfig) -> Self {
-        self.window_queue = self
-            .dataset
-            .live_observations()
-            .map(|obs| (obs.source, obs.object))
-            .collect();
+        // From here on the window is the only evictor, and it evicts oldest first. So
+        // once the tombstones it was handed are gone, the dead claims are always a
+        // prefix of the log, and the oldest live claims are the ones right after it.
+        if self.dataset.dead_claims() > 0 {
+            self.dataset.compact();
+        }
         self.window = Some(window);
         self.enforce_window();
         self.maybe_compact();
@@ -193,8 +188,8 @@ impl FusionEngine {
         match self.dataset.append_named(source, object, value)? {
             // Idempotent duplicate: nothing changed, so no refit.
             None => Ok(false),
-            Some(obs) => {
-                self.note_appended(obs.source, obs.object);
+            Some(_) => {
+                self.note_appended();
                 Ok(self.apply_policy())
             }
         }
@@ -207,11 +202,12 @@ impl FusionEngine {
     /// ingested.
     pub fn ingest(&mut self, claims: &[NamedObservation]) -> Result<bool, DataError> {
         for claim in claims {
-            if let Some(obs) =
-                self.dataset
-                    .append_named(&claim.source, &claim.object, &claim.value)?
+            if self
+                .dataset
+                .append_named(&claim.source, &claim.object, &claim.value)?
+                .is_some()
             {
-                self.note_appended(obs.source, obs.object);
+                self.note_appended();
             }
         }
         Ok(self.apply_policy())
@@ -228,11 +224,12 @@ impl FusionEngine {
     pub fn ingest_no_refit(&mut self, claims: &[NamedObservation]) -> Result<usize, DataError> {
         let mut appended = 0;
         for claim in claims {
-            if let Some(obs) =
-                self.dataset
-                    .append_named(&claim.source, &claim.object, &claim.value)?
+            if self
+                .dataset
+                .append_named(&claim.source, &claim.object, &claim.value)?
+                .is_some()
             {
-                self.note_appended(obs.source, obs.object);
+                self.note_appended();
                 appended += 1;
             }
         }
@@ -256,7 +253,9 @@ impl FusionEngine {
 
     /// Captures a self-contained [`TrainingSnapshot`] of the live instance: the dataset
     /// is compacted in place (exactly as [`FusionEngine::refit`] would) and the folded
-    /// instance plus the estimator are cloned out, detached from the engine. Training
+    /// instance plus the estimator are cloned out, detached from the engine. The
+    /// compacted dataset's clone shares its base segment with the engine, so the
+    /// capture copies no claim; later ingest writes only the engine's own delta. Training
     /// the capture — typically on a background worker while this engine keeps ingesting
     /// — produces a model bitwise-identical to what a synchronous
     /// [`FusionEngine::refit`] at this claim count would have served, at any
@@ -426,11 +425,10 @@ impl FusionEngine {
     }
 
     /// Bookkeeping after one successful (non-duplicate) append: delta counters, the
-    /// window frontier, and overlay hygiene.
-    fn note_appended(&mut self, source: SourceId, object: ObjectId) {
+    /// window, and overlay hygiene.
+    fn note_appended(&mut self) {
         self.claims_since_fit += 1;
         if self.window.is_some() {
-            self.window_queue.push_back((source, object));
             self.enforce_window();
             self.maybe_compact();
         }
@@ -449,13 +447,19 @@ impl FusionEngine {
         if live < horizon + batch {
             return;
         }
-        let backlog = live - horizon;
-        let victims: Vec<(SourceId, ObjectId)> = self.window_queue.drain(..backlog).collect();
+        // The dead claims are a prefix of the log (see `with_window`), so the
+        // `backlog` oldest live claims follow it.
+        let dead = self.dataset.dead_claims();
+        let victims: Vec<(SourceId, ObjectId)> = self
+            .dataset
+            .log_range(dead..dead + live - horizon)
+            .map(|obs| (obs.source, obs.object))
+            .collect();
         let removed = self.dataset.evict_batch(&victims);
         debug_assert_eq!(
             removed,
             victims.len(),
-            "window queue entries are live until popped"
+            "the log entries past the dead prefix are live"
         );
         self.evictions += removed;
     }
@@ -525,7 +529,7 @@ impl FusionEngine {
     }
 }
 
-/// A self-contained training capture from [`FusionEngine::training_snapshot`]: compact
+/// A self-contained training capture from [`FusionEngine::training_snapshot`]: compacted
 /// clones of the live instance (dataset, features, labels) plus the estimator, detached
 /// from the engine so [`TrainingSnapshot::train`] can run on another thread — a
 /// background refit, say — while the engine keeps ingesting.

@@ -11,25 +11,12 @@
 //!   matrix completion: `E[X_ij] = (2A−1)²`, so `Â = (sqrt(mean X) + 1) / 2`.
 //!
 //! The printed Algorithm 1 and the worked Example 8 disagree on whether an object's
-//! contribution is scaled by `m`; we follow the algorithm (no scaling) and expose the
-//! per-observation convention behind [`UnitsConvention`] for sensitivity analysis.
+//! contribution is scaled by `m`; we follow the algorithm (no scaling).
 
 use slimfast_data::{Dataset, FeatureMatrix, GroundTruth};
 use slimfast_optim::{rank_one_completion, AgreementMatrix};
 
 use crate::config::{LearnerChoice, SlimFastConfig};
-
-/// How per-object information units are aggregated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum UnitsConvention {
-    /// One unit per labelled object; EM objects contribute `1 − H(p_e)` (Algorithm 1/2 as
-    /// printed).
-    #[default]
-    PerObject,
-    /// Scale both sides by the number of observations on the object (the convention of
-    /// Example 8's narrative).
-    PerObservation,
-}
 
 /// The decision made by the optimizer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,7 +134,7 @@ pub fn agreement_matrix(dataset: &Dataset) -> AgreementMatrix {
     let mut touched = Vec::new();
     for si in dataset.source_ids() {
         let i = si.index();
-        for &(o, vi) in dataset.observations_by_source(si) {
+        for &(o, vi) in dataset.observations_by_source(si).iter() {
             for &(sj, vj) in dataset.observations_for_object(o) {
                 let j = sj.index();
                 if j > i {
@@ -178,7 +165,8 @@ pub fn estimate_average_accuracy(dataset: &Dataset) -> Option<f64> {
 }
 
 /// Algorithm 1 (`EMUnits`): the information EM's E-step extracts from source redundancy.
-pub fn em_units(dataset: &Dataset, average_accuracy: f64, convention: UnitsConvention) -> f64 {
+/// Each object with `p_e ≥ 0.5` contributes `1 − H(p_e)` units.
+pub fn em_units(dataset: &Dataset, average_accuracy: f64) -> f64 {
     let mut total = 0.0;
     for o in dataset.object_ids() {
         let observations = dataset.observations_for_object(o);
@@ -190,25 +178,15 @@ pub fn em_units(dataset: &Dataset, average_accuracy: f64, convention: UnitsConve
         let threshold = m / distinct;
         let pe = 1.0 - binomial_cdf(threshold, m, average_accuracy);
         if pe >= 0.5 {
-            let units = 1.0 - binary_entropy(pe);
-            total += match convention {
-                UnitsConvention::PerObject => units,
-                UnitsConvention::PerObservation => units * m as f64,
-            };
+            total += 1.0 - binary_entropy(pe);
         }
     }
     total
 }
 
-/// ERM's information units under the chosen convention.
-pub fn erm_units(dataset: &Dataset, truth: &GroundTruth, convention: UnitsConvention) -> f64 {
-    match convention {
-        UnitsConvention::PerObject => truth.num_labeled() as f64,
-        UnitsConvention::PerObservation => truth
-            .labeled()
-            .map(|(o, _)| dataset.observations_for_object(o).len() as f64)
-            .sum(),
-    }
+/// ERM's information units: one per labelled object.
+pub fn erm_units(truth: &GroundTruth) -> f64 {
+    truth.num_labeled() as f64
 }
 
 /// Algorithm 2: SLiMFast's optimizer. Decides between ERM and EM for the given instance.
@@ -217,17 +195,6 @@ pub fn decide(
     features: &FeatureMatrix,
     truth: &GroundTruth,
     config: &SlimFastConfig,
-) -> OptimizerReport {
-    decide_with_convention(dataset, features, truth, config, UnitsConvention::default())
-}
-
-/// [`decide`] with an explicit units convention (exposed for the ablation benchmarks).
-pub fn decide_with_convention(
-    dataset: &Dataset,
-    features: &FeatureMatrix,
-    truth: &GroundTruth,
-    config: &SlimFastConfig,
-    convention: UnitsConvention,
 ) -> OptimizerReport {
     let num_labeled = truth.num_labeled();
     let num_features = features.num_features().max(1) as f64;
@@ -245,17 +212,17 @@ pub fn decide_with_convention(
             num_labeled,
             erm_bound,
             estimated_avg_accuracy: None,
-            erm_units: erm_units(dataset, truth, convention),
+            erm_units: erm_units(truth),
             em_units: 0.0,
             threshold_shortcut: true,
         };
     }
 
     let estimated_avg_accuracy = estimate_average_accuracy(dataset);
-    let erm_units_value = erm_units(dataset, truth, convention);
+    let erm_units_value = erm_units(truth);
     let em_units_value = match estimated_avg_accuracy {
         // Adversarial or uninformative agreement (Â ≤ 0.5) gives EM no usable signal.
-        Some(acc) if acc > 0.5 => em_units(dataset, acc, convention),
+        Some(acc) if acc > 0.5 => em_units(dataset, acc),
         _ => 0.0,
     };
 
@@ -279,7 +246,7 @@ pub fn decide_with_convention(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slimfast_data::{DatasetBuilder, FeatureMatrix, SplitPlan};
+    use slimfast_data::{DatasetBuilder, SplitPlan};
     use slimfast_datagen::{AccuracyModel, FeatureModel, ObservationPattern, SyntheticConfig};
 
     #[test]
@@ -418,15 +385,15 @@ mod tests {
         };
         let sparse = build(0.03, 1);
         let dense = build(0.15, 1);
-        let sparse_units = em_units(&sparse.dataset, 0.7, UnitsConvention::PerObject);
-        let dense_units = em_units(&dense.dataset, 0.7, UnitsConvention::PerObject);
+        let sparse_units = em_units(&sparse.dataset, 0.7);
+        let dense_units = em_units(&dense.dataset, 0.7);
         assert!(
             dense_units > sparse_units,
             "{dense_units} vs {sparse_units}"
         );
         // Higher assumed accuracy also increases the units on the same instance.
-        let low_acc = em_units(&dense.dataset, 0.55, UnitsConvention::PerObject);
-        let high_acc = em_units(&dense.dataset, 0.85, UnitsConvention::PerObject);
+        let low_acc = em_units(&dense.dataset, 0.55);
+        let high_acc = em_units(&dense.dataset, 0.85);
         assert!(high_acc > low_acc, "{high_acc} vs {low_acc}");
     }
 
@@ -529,28 +496,5 @@ mod tests {
         );
         assert_eq!(report.decision, OptimizerDecision::Em);
         assert!(report.estimated_avg_accuracy.unwrap() > 0.7);
-    }
-
-    #[test]
-    fn per_observation_convention_scales_both_sides() {
-        let mut b = DatasetBuilder::new();
-        for s in 0..6 {
-            b.observe(&format!("s{s}"), "o0", "x").unwrap();
-            b.observe(&format!("s{s}"), "o1", if s < 3 { "x" } else { "y" })
-                .unwrap();
-        }
-        let d = b.build();
-        let truth = GroundTruth::from_pairs(
-            2,
-            [(slimfast_data::ObjectId::new(0), d.value_id("x").unwrap())],
-        );
-        let per_object = erm_units(&d, &truth, UnitsConvention::PerObject);
-        let per_obs = erm_units(&d, &truth, UnitsConvention::PerObservation);
-        assert_eq!(per_object, 1.0);
-        assert_eq!(per_obs, 6.0);
-        let em_po = em_units(&d, 0.8, UnitsConvention::PerObject);
-        let em_pobs = em_units(&d, 0.8, UnitsConvention::PerObservation);
-        assert!(em_pobs >= em_po);
-        let _ = FeatureMatrix::empty(d.num_sources());
     }
 }

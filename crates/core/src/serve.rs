@@ -24,8 +24,8 @@
 //!                                             ├─ policy fires? ──▶ training_snapshot ─▶ train()
 //!             every publish_every claims ─────┤                          │
 //!                    ▼                        ◀── poll: is_finished()? ◀─┘
-//!             clone model+data, compile       install_model + publish
-//!             trust table                     (model snapshot)
+//!             share data base, copy delta,    install_model + publish
+//!             compile trust table             (model snapshot)
 //!                    ▼
 //!            ┌───────────────┐  one RwLock-guarded Arc store + epoch bump
 //!            │ Arc swap      │ ─────────────────────────────────────────▶ readers
@@ -38,6 +38,12 @@
 //! implements), and a **model snapshot** whenever a background refit completes and its
 //! model is installed. Both are full [`ModelSnapshot`]s; the distinction is only what
 //! changed since the previous epoch.
+//!
+//! A publish does not copy the dataset. The snapshot's dataset shares the writer's
+//! immutable base segment (the claims as of the last compaction) and copies only the
+//! writer's delta since then, so a publish costs O(claims since the last compaction),
+//! not O(live claims). A refit capture compacts the writer first and shares the fresh
+//! base the same way, and a cold start writes on top of the decoded snapshot's base.
 //!
 //! # Staleness semantics
 //!
@@ -269,26 +275,17 @@ impl ModelSnapshot {
     /// | FNV-1a 64 checksum of everything above
     /// ```
     ///
-    /// The dataset is written in compacted form: an uncompacted snapshot writes
-    /// [`Dataset::compacted`] (content-preserving, so reloaded posteriors are
-    /// unchanged). The dataset container's own checksum and the bundle's are computed
-    /// in one pass over the dataset bytes ([`format::seal_nested`]).
+    /// The dataset is written in compacted form: an uncompacted snapshot writes the
+    /// bytes of [`Dataset::compacted`] (content-preserving, so reloaded posteriors are
+    /// unchanged), merging only the CSR arrays and encoding straight into the bundle
+    /// ([`columnar::append_compacted_dataset`]). The dataset container's own checksum
+    /// and the bundle's are computed in one pass over the dataset bytes
+    /// ([`format::seal_nested`]).
     pub fn to_bytes(&self) -> Result<Vec<u8>, DataError> {
-        let compacted;
-        let dataset = if self.dataset.is_compacted() {
-            &self.dataset
-        } else {
-            compacted = self.dataset.compacted();
-            &compacted
-        };
-        let dataset_bytes = columnar::dataset_to_unsealed_bytes(dataset)?;
         let model_bytes = self.model.to_bytes();
         let features_bytes = columnar::features_to_bytes(&self.features);
         let mut bytes = Vec::with_capacity(
-            64 + model_bytes.len()
-                + dataset_bytes.len()
-                + features_bytes.len()
-                + 8 * self.trust.len(),
+            64 + model_bytes.len() + features_bytes.len() + 8 * self.trust.len(),
         );
         bytes.extend_from_slice(&SNAPSHOT_MAGIC);
         bytes.extend_from_slice(&SNAPSHOT_FORMAT_VERSION.to_le_bytes());
@@ -301,12 +298,15 @@ impl ModelSnapshot {
         });
         format::write_varint(&mut bytes, model_bytes.len() as u64);
         bytes.extend_from_slice(&model_bytes);
-        // The dataset container's trailer is left zeroed here and sealed below.
-        format::write_varint(&mut bytes, dataset_bytes.len() as u64 + 8);
-        let dataset_at = bytes.len();
-        bytes.extend_from_slice(&dataset_bytes);
+        // The dataset container is encoded in place, its trailer left zeroed here and
+        // sealed below; its length prefix goes in front once the length is known.
+        let prefix_at = bytes.len();
+        columnar::append_compacted_dataset(&mut bytes, &self.dataset);
         bytes.extend_from_slice(&[0; 8]);
-        let dataset_section = dataset_at..bytes.len();
+        let mut prefix = Vec::new();
+        format::write_varint(&mut prefix, (bytes.len() - prefix_at) as u64);
+        bytes.splice(prefix_at..prefix_at, prefix.iter().copied());
+        let dataset_section = prefix_at + prefix.len()..bytes.len();
         format::write_varint(&mut bytes, features_bytes.len() as u64);
         bytes.extend_from_slice(&features_bytes);
         format::write_varint(&mut bytes, self.trust.len() as u64);
@@ -775,6 +775,9 @@ pub struct ServingEngine {
     claims_since_publish: usize,
     /// Refit-failure bookkeeping behind [`ServingEngine::health`].
     supervision: Supervision,
+    /// The snapshot the last publish replaced, held until the next one so that this
+    /// thread, not a reader, usually drops the last reference and frees its delta.
+    retired: Option<Arc<ModelSnapshot>>,
     /// Test hook: the next dispatched refit waits to train until the sender paired
     /// with this receiver sends or is dropped, so a test can hold it in flight.
     #[cfg(test)]
@@ -800,6 +803,7 @@ impl ServingEngine {
             publish_every: Self::DEFAULT_PUBLISH_EVERY,
             claims_since_publish: 0,
             supervision: Supervision::new(RetryPolicy::default()),
+            retired: None,
             #[cfg(test)]
             refit_latch: None,
         }
@@ -811,7 +815,8 @@ impl ServingEngine {
     /// served — same model weights, same precompiled trust table, same dataset
     /// content. The wrapped [`FusionEngine`] is reassembled around clones of the
     /// snapshot's model and dataset (via [`FusionEngine::from_model`]), ready to
-    /// ingest further claims and refit under `policy`.
+    /// ingest further claims and refit under `policy`. The dataset clone shares the
+    /// snapshot's base segment, so the cold start copies no claim.
     ///
     /// `estimator` supplies the training configuration for *future* refits; the
     /// snapshot pins which learner ([`ModelSnapshot::decision`]) produced the restored
@@ -849,6 +854,7 @@ impl ServingEngine {
             publish_every: Self::DEFAULT_PUBLISH_EVERY,
             claims_since_publish: 0,
             supervision: Supervision::new(RetryPolicy::default()),
+            retired: None,
             #[cfg(test)]
             refit_latch: None,
         }
@@ -856,9 +862,10 @@ impl ServingEngine {
 
     /// Sets the data-snapshot cadence: a fresh snapshot is published after every
     /// `publish_every` ingested claims (clamped to at least 1), bounding reader
-    /// staleness at `publish_every − 1` claims in steady state. Publishing clones the
-    /// live dataset (O(live claims)), so the cadence trades freshness against writer
-    /// throughput.
+    /// staleness at `publish_every − 1` claims in steady state. A publish shares the
+    /// dataset's base segment and copies the delta since the last compaction (the
+    /// claims appended or evicted since then), so the cadence trades freshness against
+    /// writer throughput in proportion to that delta, not to the live claims.
     pub fn with_publish_every(mut self, publish_every: usize) -> Self {
         self.publish_every = publish_every.max(1);
         self
@@ -1151,7 +1158,11 @@ impl ServingEngine {
         let epoch = self.shared.epoch.load(Ordering::Relaxed) + 1;
         let claims = self.shared.claims_ingested.load(Ordering::Relaxed);
         let snapshot = Arc::new(ModelSnapshot::capture(&self.engine, epoch, claims));
-        *write_ignore_poison(&self.shared.snapshot) = snapshot;
+        let replaced =
+            std::mem::replace(&mut *write_ignore_poison(&self.shared.snapshot), snapshot);
+        // Readers let go of the replaced snapshot within a query; the one before it is
+        // most likely held by nobody else now, so it is freed here.
+        self.retired = Some(replaced);
         self.shared.epoch.store(epoch, Ordering::Release);
         self.shared.swaps.fetch_add(1, Ordering::Relaxed);
         self.claims_since_publish = 0;
@@ -1465,6 +1476,43 @@ mod tests {
         assert!(reader.posterior("live-o7").is_some());
         assert_eq!(reader.staleness(), 0);
         assert!(reader.snapshot().epoch() > saved.epoch());
+    }
+
+    #[test]
+    fn publishes_refit_captures_and_cold_starts_share_one_base() {
+        let mut serving = serving_fixture(RefitPolicy::Never).with_publish_every(8);
+        let first = serving.snapshot();
+        assert!(first.dataset().shares_base(serving.engine().dataset()));
+        // A publish shares the writer's base; the writer's later claims stay its own.
+        serving.ingest(&claims(0, 20)).unwrap();
+        let published = serving.snapshot();
+        assert!(published.epoch() > first.epoch());
+        assert!(published.dataset().shares_base(serving.engine().dataset()));
+        assert!(published.dataset().shares_base(first.dataset()));
+        assert_eq!(first.dataset().pending_appends(), 0);
+
+        // A refit capture compacts the writer onto a fresh base and takes it along.
+        let capture = serving.engine.training_snapshot();
+        assert!(capture.dataset().shares_base(serving.engine().dataset()));
+        assert!(!published.dataset().shares_base(serving.engine().dataset()));
+        drop(capture);
+        assert!(serving.refit_background());
+        serving.drain();
+        let refitted = serving.snapshot();
+        assert!(refitted.dataset().shares_base(serving.engine().dataset()));
+
+        // A cold start serves the decoded snapshot and writes on top of its base.
+        let restored = ModelSnapshot::from_bytes(&refitted.to_bytes().unwrap()).unwrap();
+        let revived = ServingEngine::from_snapshot(
+            restored,
+            SlimFast::em(SlimFastConfig::default()),
+            RefitPolicy::Never,
+        );
+        assert!(revived
+            .snapshot()
+            .dataset()
+            .shares_base(revived.engine().dataset()));
+        assert!(!revived.snapshot().dataset().shares_base(refitted.dataset()));
     }
 
     #[test]

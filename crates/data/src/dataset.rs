@@ -7,26 +7,40 @@
 //! across threads by object or source ranges. Neighbor lists are sorted, so point
 //! lookups ([`Dataset::value_of`]) are binary searches instead of linear scans.
 //!
-//! # Write side: delta log and compaction
+//! # Write side: a shared base segment and a delta
 //!
-//! A built dataset is no longer frozen: [`Dataset::append_ids`] /
-//! [`Dataset::append_named`] add claims and [`Dataset::evict`] removes them, both in
-//! time proportional to the touched *rows* rather than the whole dataset. Mutations are
-//! recorded in a delta log — materialized per-row overlays consulted transparently by
-//! every slice accessor — plus a tombstone bitmap over the insertion-order observation
-//! log. [`Dataset::compacted`] (and [`Dataset::compact`], in place) folds the delta
-//! back into the base CSR arrays by merging: every row is copied from the base or
-//! from its overlay row, and log sequence numbers are renumbered over the live claims.
-//! Overlay rows are kept exactly as an indexing pass lays rows out (sorted, domains in
-//! first-seen order), so the result is bitwise-identical to rebuilding from scratch
-//! from the same live claims, without re-indexing the log.
+//! A dataset is two parts. The **base segment** holds the claim log, the CSR arrays
+//! and the three name vocabularies as they stood at the last build, compaction or
+//! snapshot decode. It is immutable and sits behind one `Arc`, so every clone of the
+//! dataset shares it. The **delta** holds everything since, and each dataset owns its
+//! own: the log tail, the tombstones, overlay rows for the touched objects and
+//! domains, each touched source's added and removed claims, and the names interned
+//! since. A clone therefore copies the delta and never the base: a serving publish, a
+//! refit capture and a cold start cost O(delta since the last compaction).
+//!
+//! [`Dataset::append_ids`] / [`Dataset::append_named`] add claims and
+//! [`Dataset::evict`] removes them, both in time proportional to the touched rows.
+//! Object and domain accessors return the overlay row when there is one and the base
+//! row otherwise, so they stay zero-copy. A source row is kept as a delta instead
+//! (appending a claim to a source must not copy the source's whole row), and
+//! [`Dataset::observations_by_source`] merges it on demand.
+//!
+//! [`Dataset::compacted`] (and [`Dataset::compact`], in place) folds the delta into a
+//! fresh base segment by merging: every row is copied from the base, from its overlay
+//! row, or from the base row merged with its source delta, and log sequence numbers
+//! are renumbered over the live claims. Overlay rows are kept exactly as an indexing
+//! pass lays rows out (sorted, domains in first-seen order), so the result is
+//! bitwise-identical to rebuilding from scratch from the same live claims, without
+//! re-indexing the log.
 
+use std::borrow::Cow;
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::ops::Range;
+use std::sync::Arc;
 
 use crate::error::DataError;
-use crate::ids::{Interner, ObjectId, SourceId, ValueId};
+use crate::ids::{IdLike, Interner, ObjectId, SourceId, ValueId};
 use crate::observation::Observation;
 
 thread_local! {
@@ -60,8 +74,10 @@ pub fn full_index_passes() -> u64 {
 /// a contiguous slice handed out by the accessors. `by_object` rows are sorted by
 /// [`SourceId`] and `by_source` rows by [`ObjectId`]; domains stay in first-seen order
 /// (the paper's `D_o` is an ordered candidate list that learning code indexes into).
-/// Rows touched since the last build/compaction live in small overlay maps that the
-/// accessors consult first, so appends and evictions never re-index untouched rows.
+/// The arrays live in a base segment shared by every clone; rows touched since the
+/// last build or compaction live in the dataset's own delta, which the accessors
+/// consult first, so appends and evictions never re-index untouched rows and a clone
+/// never copies them.
 ///
 /// ```
 /// use slimfast_data::DatasetBuilder;
@@ -83,47 +99,159 @@ pub fn full_index_passes() -> u64 {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dataset {
-    /// Insertion-order claim log. May contain tombstoned (evicted) entries; see `live`.
-    observations: Vec<Observation>,
-    /// Liveness bitmap aligned with `observations`; `None` means every entry is live.
-    live: Option<Vec<bool>>,
-    num_dead: usize,
-    /// CSR entries of the object index, sorted by source within each row.
-    by_object: Vec<(SourceId, ValueId)>,
-    by_object_offsets: Vec<u32>,
-    /// Log index (sequence number) of each `by_object` entry, aligned with `by_object`.
-    /// Needed to locate a claim's log slot on eviction and to recompute domains in
-    /// first-seen order among the surviving claims.
-    by_object_seq: Vec<u32>,
-    /// CSR entries of the source index, sorted by object within each row.
-    by_source: Vec<(ObjectId, ValueId)>,
-    by_source_offsets: Vec<u32>,
-    /// CSR entries of the per-object candidate domains, in first-seen order.
-    domains: Vec<ValueId>,
-    domain_offsets: Vec<u32>,
-    sources: Interner<SourceId>,
-    objects: Interner<ObjectId>,
-    values: Interner<ValueId>,
+    /// The segment as of the last build, compaction or decode; never written.
+    base: Arc<Base>,
+    /// Everything since, owned by this dataset: a clone copies only this.
+    delta: Delta,
     num_sources: usize,
     num_objects: usize,
     num_values: usize,
-    delta: DeltaLog,
     compactions: usize,
 }
 
-/// The append/evict overlay of a [`Dataset`]: full materialized replacement rows for
-/// every CSR row touched since the last build/compaction, keyed by row index.
-///
-/// Rows are materialized (base row cloned on first touch) rather than merged lazily so
-/// the slice-returning accessors stay zero-copy: an accessor either returns the base
-/// CSR slice or the overlay row's slice, nothing in between.
-#[derive(Debug, Clone, Default)]
-struct DeltaLog {
-    objects: HashMap<u32, RowOverlay>,
-    sources: HashMap<u32, Vec<(ObjectId, ValueId)>>,
-    domains: HashMap<u32, Vec<ValueId>>,
-    /// Claims appended since the last build/compaction.
-    pending: usize,
+/// The immutable base segment of a [`Dataset`]: the claim log, the CSR arrays and the
+/// vocabularies of one build, compaction or snapshot decode. Its `Vec`s are moved in
+/// whole, never copied into place.
+#[derive(Debug)]
+struct Base {
+    /// Insertion-order claim log; log index `i` is sequence number `i`.
+    observations: Vec<Observation>,
+    csr: CsrIndex,
+    sources: Interner<SourceId>,
+    objects: Interner<ObjectId>,
+    values: Interner<ValueId>,
+}
+
+/// Row `i` of a CSR array, empty past its last row.
+#[inline]
+fn csr_row<'a, T>(entries: &'a [T], offsets: &[u32], i: usize) -> &'a [T] {
+    if i + 1 < offsets.len() {
+        &entries[offsets[i] as usize..offsets[i + 1] as usize]
+    } else {
+        &[]
+    }
+}
+
+impl CsrIndex {
+    #[inline]
+    fn object_row(&self, i: usize) -> &[(SourceId, ValueId)] {
+        csr_row(&self.by_object, &self.by_object_offsets, i)
+    }
+
+    #[inline]
+    fn object_seqs(&self, i: usize) -> &[u32] {
+        csr_row(&self.by_object_seq, &self.by_object_offsets, i)
+    }
+
+    #[inline]
+    fn source_row(&self, i: usize) -> &[(ObjectId, ValueId)] {
+        csr_row(&self.by_source, &self.by_source_offsets, i)
+    }
+
+    #[inline]
+    fn domain_row(&self, i: usize) -> &[ValueId] {
+        csr_row(&self.domains, &self.domain_offsets, i)
+    }
+}
+
+/// What a [`Dataset`] changed since its base segment. Every part is O(delta): a clone
+/// of the dataset copies it, and nothing in it is shared.
+#[derive(Debug, Clone)]
+struct Delta {
+    /// Claims appended since the base, in log order: sequence numbers continue from
+    /// the base log's length.
+    tail: Vec<Observation>,
+    /// Sequence numbers of the tombstoned (evicted) claims, sorted.
+    dead: Vec<u32>,
+    /// Full replacement rows for every object row touched since the base. Object rows
+    /// are short (one entry per claimant), so the base row is copied on first touch
+    /// and the accessors stay zero-copy.
+    objects: Overlays<RowOverlay>,
+    /// The claims each touched source added and lost since the base.
+    sources: HashMap<u32, SourceDelta>,
+    /// Full replacement domains, like `objects`.
+    domains: Overlays<Vec<ValueId>>,
+    /// Names interned since the base; their handles continue from the base
+    /// vocabulary's count.
+    source_names: Interner<SourceId>,
+    object_names: Interner<ObjectId>,
+    value_names: Interner<ValueId>,
+}
+
+impl Delta {
+    /// The empty delta on `base`. Its vocabularies hash with the base's keys.
+    fn on(base: &Base) -> Self {
+        Self {
+            tail: Vec::new(),
+            dead: Vec::new(),
+            objects: Overlays::default(),
+            sources: HashMap::new(),
+            domains: Overlays::default(),
+            source_names: base.sources.sharing_keys(),
+            object_names: base.objects.sharing_keys(),
+            value_names: base.values.sharing_keys(),
+        }
+    }
+
+    /// Estimated heap bytes of the overlay rows, source deltas and tombstones.
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        let entry = size_of::<(SourceId, ValueId)>();
+        // Per-map-slot overhead (key + hash-table bookkeeping) is estimated at 16 bytes.
+        const SLOT: usize = 16;
+        let objects: usize = self
+            .objects
+            .rows
+            .values()
+            .map(|ov| ov.entries.len() * entry + ov.seqs.len() * size_of::<u32>() + SLOT)
+            .sum();
+        let sources: usize = self
+            .sources
+            .values()
+            .map(|d| d.added.len() * entry + d.removed.len() * size_of::<ObjectId>() + SLOT)
+            .sum();
+        let domains: usize = self
+            .domains
+            .rows
+            .values()
+            .map(|row| row.len() * size_of::<ValueId>() + SLOT)
+            .sum();
+        objects + sources + domains + self.dead.len() * size_of::<u32>()
+    }
+}
+
+/// Replacement rows keyed by row index. The lowest key is kept beside the map, so the
+/// accessors read a row below it (every base row, when only new objects were claimed)
+/// without a hash probe.
+#[derive(Debug, Clone)]
+struct Overlays<V> {
+    rows: HashMap<u32, V>,
+    lowest: u32,
+}
+
+impl<V> Default for Overlays<V> {
+    fn default() -> Self {
+        Self {
+            rows: HashMap::new(),
+            lowest: u32::MAX,
+        }
+    }
+}
+
+impl<V> Overlays<V> {
+    #[inline]
+    fn get(&self, row: usize) -> Option<&V> {
+        if row < self.lowest as usize {
+            return None;
+        }
+        self.rows.get(&(row as u32))
+    }
+
+    /// The overlay of `row`, made by `init` on first touch.
+    fn row_mut(&mut self, row: usize, init: impl FnOnce() -> V) -> &mut V {
+        self.lowest = self.lowest.min(row as u32);
+        self.rows.entry(row as u32).or_insert_with(init)
+    }
 }
 
 /// Overlay of one object row: the entries plus their log sequence numbers, kept aligned
@@ -134,29 +262,139 @@ struct RowOverlay {
     seqs: Vec<u32>,
 }
 
-impl DeltaLog {
-    fn overlay_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let entry = size_of::<(SourceId, ValueId)>();
-        // Per-map-slot overhead (key + hash-table bookkeeping) is estimated at 16 bytes.
-        const SLOT: usize = 16;
-        let objects: usize = self
-            .objects
-            .values()
-            .map(|ov| ov.entries.len() * entry + ov.seqs.len() * size_of::<u32>() + SLOT)
-            .sum();
-        let sources: usize = self
-            .sources
-            .values()
-            .map(|row| row.len() * entry + SLOT)
-            .sum();
-        let domains: usize = self
-            .domains
-            .values()
-            .map(|row| row.len() * size_of::<ValueId>() + SLOT)
-            .sum();
-        objects + sources + domains
+/// The delta of one source row: its claims since the base, and the objects whose base
+/// claim it lost. A source row can be long (a source claims about many objects), so
+/// it is never copied whole; its [`Overlay`] merges the current row from the base
+/// row on demand.
+#[derive(Debug, Clone, Default)]
+struct SourceDelta {
+    /// Claims appended since the base and still live, sorted by object.
+    added: Vec<(ObjectId, ValueId)>,
+    /// Objects whose base claim was evicted, sorted. Each is in the base row once.
+    removed: Vec<ObjectId>,
+}
+
+/// A row of the delta that replaces a base CSR row in [`merge_rows`].
+trait Overlay<T> {
+    /// Length of the replacement for `base`.
+    fn len(&self, base: &[T]) -> usize;
+    /// Appends the replacement for `base`.
+    fn write(&self, base: &[T], out: &mut Vec<T>);
+}
+
+impl Overlay<(ObjectId, ValueId)> for SourceDelta {
+    fn len(&self, base: &[(ObjectId, ValueId)]) -> usize {
+        base.len() - self.removed.len() + self.added.len()
     }
+
+    /// Appends the current row: `base` without the evicted claims, merged with the
+    /// added ones in object order.
+    fn write(&self, base: &[(ObjectId, ValueId)], out: &mut Vec<(ObjectId, ValueId)>) {
+        let mut removed = self.removed.iter().peekable();
+        let mut added = self.added.iter().peekable();
+        for &entry in base {
+            if removed.next_if_eq(&&entry.0).is_some() {
+                continue;
+            }
+            while let Some(&earlier) = added.next_if(|&&(o, _)| o < entry.0) {
+                out.push(earlier);
+            }
+            out.push(entry);
+        }
+        out.extend(added);
+    }
+}
+
+impl Overlay<(SourceId, ValueId)> for RowOverlay {
+    fn len(&self, _: &[(SourceId, ValueId)]) -> usize {
+        self.entries.len()
+    }
+    fn write(&self, _: &[(SourceId, ValueId)], out: &mut Vec<(SourceId, ValueId)>) {
+        out.extend_from_slice(&self.entries);
+    }
+}
+
+impl Overlay<u32> for RowOverlay {
+    fn len(&self, _: &[u32]) -> usize {
+        self.seqs.len()
+    }
+    fn write(&self, _: &[u32], out: &mut Vec<u32>) {
+        out.extend_from_slice(&self.seqs);
+    }
+}
+
+impl Overlay<ValueId> for Vec<ValueId> {
+    fn len(&self, _: &[ValueId]) -> usize {
+        self.as_slice().len()
+    }
+    fn write(&self, _: &[ValueId], out: &mut Vec<ValueId>) {
+        out.extend_from_slice(self);
+    }
+}
+
+/// One vocabulary of a [`Dataset`]: the base segment's names, then the names interned
+/// since, whose handles continue from the base count. Both hash with the same keys,
+/// so a lookup hashes the name once.
+#[derive(Clone, Copy)]
+pub(crate) struct Names<'a, Id> {
+    base: &'a Interner<Id>,
+    delta: &'a Interner<Id>,
+}
+
+impl<'a, Id: From<usize> + Copy + IdLike + 'a> Names<'a, Id> {
+    /// Number of names.
+    pub(crate) fn len(&self) -> usize {
+        self.base.len() + self.delta.len()
+    }
+
+    fn get(&self, name: &str) -> Option<Id> {
+        let hash = self.base.hash_name(name);
+        self.base.get_hashed(name, hash).or_else(|| {
+            let id = self.delta.get_hashed(name, hash)?;
+            Some(Id::from(self.base.len() + id.raw_index()))
+        })
+    }
+
+    fn name(&self, id: Id) -> Option<&'a str> {
+        match id.raw_index().checked_sub(self.base.len()) {
+            None => self.base.name(id),
+            Some(handle) => self.delta.name(Id::from(handle)),
+        }
+    }
+
+    /// The names in handle order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = &'a str> {
+        self.base
+            .iter()
+            .chain(self.delta.iter())
+            .map(|(_, name)| name)
+    }
+
+    /// One interner holding every name under its handle.
+    fn merged(&self) -> Interner<Id> {
+        let mut all = self.base.clone();
+        for (_, name) in self.delta.iter() {
+            all.intern(name);
+        }
+        all
+    }
+}
+
+/// Interns `name` into the vocabulary of `base` and `delta`: its base handle when the
+/// base has it, otherwise a handle past the base's count.
+fn intern_name<Id: From<usize> + Copy + IdLike>(
+    base: &Interner<Id>,
+    delta: &mut Interner<Id>,
+    name: &str,
+) -> Id {
+    let hash = base.hash_name(name);
+    if let Some(id) = base.get_hashed(name, hash) {
+        return id;
+    }
+    let id = delta
+        .try_intern_hashed(name, hash)
+        .expect("interner overflow: over 4 GiB of names or u32::MAX handles");
+    Id::from(base.len() + id.raw_index())
 }
 
 /// Heap footprint of a [`Dataset`]'s observation storage, reported by
@@ -166,11 +404,12 @@ impl DeltaLog {
 pub struct StorageStats {
     /// Number of live observations (claims), excluding tombstoned entries.
     pub num_observations: usize,
-    /// Bytes held by the insertion-order observation log (including tombstoned
-    /// entries awaiting compaction).
+    /// Bytes held by the insertion-order observation log, base and tail (including
+    /// tombstoned entries awaiting compaction).
     pub log_bytes: usize,
     /// Bytes held by the base CSR indexes (entries, sequence numbers, and offsets for
-    /// `by_object`, `by_source`, and the domains).
+    /// `by_object`, `by_source`, and the domains). Counted in full although clones
+    /// share them.
     pub index_bytes: usize,
     /// Estimated bytes the same indexes would occupy in the pre-CSR nested
     /// `Vec<Vec<_>>` layout (one 24-byte `Vec` header per row plus the entries),
@@ -180,9 +419,9 @@ pub struct StorageStats {
     pub live_claims: usize,
     /// Tombstoned claims still occupying log slots until the next compaction.
     pub dead_claims: usize,
-    /// Claims appended since the last build/compaction (resident in overlay rows).
+    /// Claims appended since the last build/compaction (the log tail).
     pub pending_appends: usize,
-    /// Estimated bytes held by the delta overlay rows and the liveness bitmap.
+    /// Estimated bytes held by the delta's overlay rows, source deltas and tombstones.
     pub delta_bytes: usize,
     /// Number of compactions this dataset has absorbed.
     pub compactions: usize,
@@ -221,15 +460,23 @@ fn csr_range(offsets: &[u32], i: usize) -> std::ops::Range<usize> {
     offsets[i] as usize..offsets[i + 1] as usize
 }
 
-/// The CSR arrays produced by one full indexing pass ([`DatasetBuilder::build`]).
-struct CsrIndex {
-    by_object: Vec<(SourceId, ValueId)>,
-    by_object_offsets: Vec<u32>,
-    by_object_seq: Vec<u32>,
-    by_source: Vec<(ObjectId, ValueId)>,
-    by_source_offsets: Vec<u32>,
-    domains: Vec<ValueId>,
-    domain_offsets: Vec<u32>,
+/// The CSR arrays of a dataset's three indexes: the row `i` of each lives at
+/// `entries[offsets[i] as usize..offsets[i + 1] as usize]`.
+#[derive(Debug)]
+pub(crate) struct CsrIndex {
+    /// CSR entries of the object index, sorted by source within each row.
+    pub by_object: Vec<(SourceId, ValueId)>,
+    pub by_object_offsets: Vec<u32>,
+    /// Log index (sequence number) of each `by_object` entry, aligned with `by_object`.
+    /// Needed to locate a claim's log slot on eviction and to recompute domains in
+    /// first-seen order among the surviving claims.
+    pub by_object_seq: Vec<u32>,
+    /// CSR entries of the source index, sorted by object within each row.
+    pub by_source: Vec<(ObjectId, ValueId)>,
+    pub by_source_offsets: Vec<u32>,
+    /// CSR entries of the per-object candidate domains, in first-seen order.
+    pub domains: Vec<ValueId>,
+    pub domain_offsets: Vec<u32>,
 }
 
 /// Sorts every CSR row in place.
@@ -319,32 +566,24 @@ fn index_observations(
     }
 }
 
-/// Copies CSR rows `0..rows` into new arrays, taking each row from `overlay` when it
-/// holds one and from the base otherwise; rows past the base's end are empty unless
-/// overlaid. Untouched base rows between two overlay rows move in one slice copy,
-/// their offsets shifted by the overlay rows' net growth.
-fn merge_rows<T: Copy, V>(
+/// Copies CSR rows `0..rows` into new arrays, taking each row from its `overlay`
+/// replacement when it has one and from the base otherwise; rows past the base's end
+/// are empty unless overlaid. Untouched base rows between two overlay rows move in
+/// one slice copy, their offsets shifted by the overlay rows' net growth.
+fn merge_rows<T: Copy, V: Overlay<T>>(
     base: &[T],
     base_offsets: &[u32],
     rows: usize,
     overlay: &HashMap<u32, V>,
-    overlay_row: impl Fn(&V) -> &[T],
 ) -> (Vec<T>, Vec<u32>) {
     let base_rows = base_offsets.len().saturating_sub(1);
-    let base_row_len = |row: usize| {
-        if row < base_rows {
-            csr_range(base_offsets, row).len()
-        } else {
-            0
-        }
-    };
-    let mut touched: Vec<(usize, &[T])> = overlay
+    let mut touched: Vec<(usize, &[T], &V)> = overlay
         .iter()
-        .map(|(&row, v)| (row as usize, overlay_row(v)))
+        .map(|(&row, v)| (row as usize, csr_row(base, base_offsets, row as usize), v))
         .collect();
-    touched.sort_unstable_by_key(|&(row, _)| row);
-    let total = touched.iter().fold(base.len(), |total, &(row, entries)| {
-        total + entries.len() - base_row_len(row)
+    touched.sort_unstable_by_key(|&(row, _, _)| row);
+    let total = touched.iter().fold(base.len(), |total, &(_, row, v)| {
+        total + v.len(row) - row.len()
     });
 
     let mut entries = Vec::with_capacity(total);
@@ -366,10 +605,10 @@ fn merge_rows<T: Copy, V>(
         offsets.extend(std::iter::repeat(filled).take(span.end - span.start.max(end)));
     };
     let mut next = 0;
-    for (row, replacement) in touched {
+    for (row, base_row, replacement) in touched {
         assert!(row < rows, "overlay row {row} outside {rows} rows");
         copy_base(&mut entries, &mut offsets, next..row);
-        entries.extend_from_slice(replacement);
+        replacement.write(base_row, &mut entries);
         offsets.push(entries.len() as u32);
         next = row + 1;
     }
@@ -378,6 +617,23 @@ fn merge_rows<T: Copy, V>(
 }
 
 impl Dataset {
+    /// A dataset with `base` as its segment and no delta.
+    fn on_base(
+        base: Base,
+        [num_sources, num_objects, num_values]: [usize; 3],
+        compactions: usize,
+    ) -> Dataset {
+        let delta = Delta::on(&base);
+        Dataset {
+            base: Arc::new(base),
+            delta,
+            num_sources,
+            num_objects,
+            num_values,
+            compactions,
+        }
+    }
+
     /// Number of distinct sources `|S|`.
     pub fn num_sources(&self) -> usize {
         self.num_sources
@@ -394,112 +650,111 @@ impl Dataset {
         self.num_values
     }
 
+    /// Length of the claim log, tombstoned entries included.
+    fn log_len(&self) -> usize {
+        self.base.observations.len() + self.delta.tail.len()
+    }
+
     /// Number of live observations `|Ω|` (excluding tombstoned entries).
     pub fn num_observations(&self) -> usize {
-        self.observations.len() - self.num_dead
+        self.log_len() - self.delta.dead.len()
     }
 
     /// The raw insertion-order claim log. After [`Dataset::evict`] this may contain
     /// tombstoned entries that no accessor reports; use
     /// [`Dataset::live_observations`] to iterate only the live claims. Compaction
     /// drops the tombstones.
-    pub fn observations(&self) -> &[Observation] {
-        &self.observations
+    ///
+    /// Borrowed from the base segment when no claim was appended since the last
+    /// build or compaction, and a copy of the whole log otherwise; iterate
+    /// [`Dataset::log_range`] to read part of it without the copy.
+    pub fn observations(&self) -> Cow<'_, [Observation]> {
+        if self.delta.tail.is_empty() {
+            Cow::Borrowed(&self.base.observations)
+        } else {
+            Cow::Owned([&self.base.observations[..], &self.delta.tail].concat())
+        }
+    }
+
+    /// The log entries at sequence numbers `seqs`: the base log's part, then the tail's.
+    fn log_slices(&self, seqs: Range<usize>) -> [&[Observation]; 2] {
+        let split = self.base.observations.len();
+        [
+            &self.base.observations[seqs.start.min(split)..seqs.end.min(split)],
+            &self.delta.tail[seqs.start.saturating_sub(split)..seqs.end.saturating_sub(split)],
+        ]
+    }
+
+    /// The raw log entries at sequence numbers `seqs`, tombstoned ones included.
+    ///
+    /// # Panics
+    ///
+    /// When `seqs` reaches past the end of the log.
+    pub fn log_range(&self, seqs: Range<usize>) -> impl Iterator<Item = &Observation> + '_ {
+        let [base, tail] = self.log_slices(seqs);
+        base.iter().chain(tail)
     }
 
     /// Iterates the live observations in insertion order, skipping tombstoned entries.
     pub fn live_observations(&self) -> impl Iterator<Item = &Observation> + '_ {
-        self.observations
-            .iter()
+        let mut dead = self.delta.dead.iter().peekable();
+        self.log_range(0..self.log_len())
             .enumerate()
-            .filter(move |&(i, _)| match &self.live {
-                Some(flags) => flags[i],
-                None => true,
-            })
+            .filter(move |&(seq, _)| dead.next_if_eq(&&(seq as u32)).is_none())
             .map(|(_, obs)| obs)
     }
 
-    #[inline]
-    fn base_object_row(&self, i: usize) -> &[(SourceId, ValueId)] {
-        if i + 1 < self.by_object_offsets.len() {
-            &self.by_object[csr_range(&self.by_object_offsets, i)]
-        } else {
-            &[]
-        }
-    }
-
-    #[inline]
-    fn base_object_seqs(&self, i: usize) -> &[u32] {
-        if i + 1 < self.by_object_offsets.len() {
-            &self.by_object_seq[csr_range(&self.by_object_offsets, i)]
-        } else {
-            &[]
-        }
-    }
-
-    #[inline]
-    fn base_source_row(&self, i: usize) -> &[(ObjectId, ValueId)] {
-        if i + 1 < self.by_source_offsets.len() {
-            &self.by_source[csr_range(&self.by_source_offsets, i)]
-        } else {
-            &[]
-        }
-    }
-
-    #[inline]
-    fn base_domain_row(&self, i: usize) -> &[ValueId] {
-        if i + 1 < self.domain_offsets.len() {
-            &self.domains[csr_range(&self.domain_offsets, i)]
-        } else {
-            &[]
-        }
+    /// The live stretches of the log, in order: the runs between tombstones.
+    fn live_runs(&self) -> impl Iterator<Item = Range<usize>> + '_ {
+        let mut start = 0;
+        let ends = self.delta.dead.iter().map(|&seq| seq as usize);
+        ends.chain([self.log_len()]).map(move |end| {
+            let run = start..end;
+            start = end + 1;
+            run
+        })
     }
 
     /// The observations `(source, value)` made about object `o`, sorted by source handle.
+    #[inline]
     pub fn observations_for_object(&self, o: ObjectId) -> &[(SourceId, ValueId)] {
-        if !self.delta.objects.is_empty() {
-            if let Some(ov) = self.delta.objects.get(&(o.index() as u32)) {
-                return &ov.entries;
-            }
+        if let Some(ov) = self.delta.objects.get(o.index()) {
+            return &ov.entries;
         }
-        self.base_object_row(o.index())
-    }
-
-    /// Log sequence numbers aligned with [`Dataset::observations_for_object`].
-    fn object_row_seqs(&self, i: usize) -> &[u32] {
-        if !self.delta.objects.is_empty() {
-            if let Some(ov) = self.delta.objects.get(&(i as u32)) {
-                return &ov.seqs;
-            }
-        }
-        self.base_object_seqs(i)
+        self.base.csr.object_row(o.index())
     }
 
     /// The observations `(object, value)` made by source `s`, sorted by object handle.
-    pub fn observations_by_source(&self, s: SourceId) -> &[(ObjectId, ValueId)] {
-        if !self.delta.sources.is_empty() {
-            if let Some(row) = self.delta.sources.get(&(s.index() as u32)) {
-                return row;
+    ///
+    /// Borrowed from the base segment unless the source gained or lost a claim since
+    /// the last build or compaction; such a row is merged from its base row and its
+    /// delta on each call. Fits run on compacted datasets, which never merge.
+    pub fn observations_by_source(&self, s: SourceId) -> Cow<'_, [(ObjectId, ValueId)]> {
+        let base = self.base.csr.source_row(s.index());
+        match self.delta.sources.get(&(s.index() as u32)) {
+            None => Cow::Borrowed(base),
+            Some(delta) => {
+                let mut row = Vec::with_capacity(delta.len(base));
+                delta.write(base, &mut row);
+                Cow::Owned(row)
             }
         }
-        self.base_source_row(s.index())
     }
 
     /// The distinct values `D_o` that sources assigned to object `o`, in first-seen order.
+    #[inline]
     pub fn domain(&self, o: ObjectId) -> &[ValueId] {
-        if !self.delta.domains.is_empty() {
-            if let Some(row) = self.delta.domains.get(&(o.index() as u32)) {
-                return row;
-            }
+        if let Some(row) = self.delta.domains.get(o.index()) {
+            return row;
         }
-        self.base_domain_row(o.index())
+        self.base.csr.domain_row(o.index())
     }
 
     /// The value source `s` asserted for object `o`, if any. Binary search over the
-    /// source's sorted neighbor list.
+    /// object's row, which is sorted by source.
     pub fn value_of(&self, s: SourceId, o: ObjectId) -> Option<ValueId> {
-        let row = self.observations_by_source(s);
-        row.binary_search_by_key(&o, |&(obj, _)| obj)
+        let row = self.observations_for_object(o);
+        row.binary_search_by_key(&s, |&(src, _)| src)
             .ok()
             .map(|i| row[i].1)
     }
@@ -547,54 +802,75 @@ impl Dataset {
         (0..self.num_sources()).map(SourceId::new)
     }
 
+    fn source_names(&self) -> Names<'_, SourceId> {
+        Names {
+            base: &self.base.sources,
+            delta: &self.delta.source_names,
+        }
+    }
+
+    fn object_names(&self) -> Names<'_, ObjectId> {
+        Names {
+            base: &self.base.objects,
+            delta: &self.delta.object_names,
+        }
+    }
+
+    fn value_names(&self) -> Names<'_, ValueId> {
+        Names {
+            base: &self.base.values,
+            delta: &self.delta.value_names,
+        }
+    }
+
     /// Name of a source, when the dataset was built from named entities.
     pub fn source_name(&self, s: SourceId) -> Option<&str> {
-        self.sources.name(s)
+        self.source_names().name(s)
     }
 
     /// Name of an object, when the dataset was built from named entities.
     pub fn object_name(&self, o: ObjectId) -> Option<&str> {
-        self.objects.name(o)
+        self.object_names().name(o)
     }
 
     /// Name of a value, when the dataset was built from named entities.
     pub fn value_name(&self, v: ValueId) -> Option<&str> {
-        self.values.name(v)
+        self.value_names().name(v)
     }
 
     /// Looks up a source handle by name.
     pub fn source_id(&self, name: &str) -> Option<SourceId> {
-        self.sources.get(name)
+        self.source_names().get(name)
     }
 
     /// Looks up an object handle by name.
     pub fn object_id(&self, name: &str) -> Option<ObjectId> {
-        self.objects.get(name)
+        self.object_names().get(name)
     }
 
     /// Looks up a value handle by name.
     pub fn value_id(&self, name: &str) -> Option<ValueId> {
-        self.values.get(name)
+        self.value_names().get(name)
     }
 
     /// Interns a source name, assigning a fresh handle if the name is new. Extends the
     /// source count exactly like [`DatasetBuilder::intern_source`].
     pub fn intern_source(&mut self, name: &str) -> SourceId {
-        let s = self.sources.intern(name);
+        let s = intern_name(&self.base.sources, &mut self.delta.source_names, name);
         self.num_sources = self.num_sources.max(s.index() + 1);
         s
     }
 
     /// Interns an object name, assigning a fresh handle if the name is new.
     pub fn intern_object(&mut self, name: &str) -> ObjectId {
-        let o = self.objects.intern(name);
+        let o = intern_name(&self.base.objects, &mut self.delta.object_names, name);
         self.num_objects = self.num_objects.max(o.index() + 1);
         o
     }
 
     /// Interns a value name, assigning a fresh handle if the name is new.
     pub fn intern_value(&mut self, name: &str) -> ValueId {
-        let v = self.values.intern(name);
+        let v = intern_name(&self.base.values, &mut self.delta.value_names, name);
         self.num_values = self.num_values.max(v.index() + 1);
         v
     }
@@ -615,6 +891,15 @@ impl Dataset {
         let o = self.intern_object(object);
         let v = self.intern_value(value);
         self.append_ids(s, o, v)
+    }
+
+    /// The overlay row of object `i`, copied from its base row on first touch.
+    fn object_overlay(&mut self, i: usize) -> &mut RowOverlay {
+        let csr = &self.base.csr;
+        self.delta.objects.row_mut(i, || RowOverlay {
+            entries: csr.object_row(i).to_vec(),
+            seqs: csr.object_seqs(i).to_vec(),
+        })
     }
 
     /// Appends one claim by handle. Returns the appended observation, or `None` for an
@@ -639,54 +924,38 @@ impl Dataset {
             });
         }
         assert!(
-            self.observations.len() < u32::MAX as usize,
+            self.log_len() < u32::MAX as usize,
             "observation log overflows the u32 sequence space; compact first"
         );
-        let seq = self.observations.len() as u32;
+        let seq = self.log_len() as u32;
         let obs = Observation::new(source, object, value);
-        self.observations.push(obs);
-        if let Some(flags) = &mut self.live {
-            flags.push(true);
-        }
+        self.delta.tail.push(obs);
 
-        let okey = object.index() as u32;
-        if !self.delta.objects.contains_key(&okey) {
-            let entries = self.base_object_row(object.index()).to_vec();
-            let seqs = self.base_object_seqs(object.index()).to_vec();
-            self.delta
-                .objects
-                .insert(okey, RowOverlay { entries, seqs });
-        }
-        let ov = self.delta.objects.get_mut(&okey).expect("overlay ensured");
+        let ov = self.object_overlay(object.index());
         let pos = ov.entries.partition_point(|&(s, _)| s < source);
         ov.entries.insert(pos, (source, value));
         ov.seqs.insert(pos, seq);
 
-        let skey = source.index() as u32;
-        if !self.delta.sources.contains_key(&skey) {
-            let row = self.base_source_row(source.index()).to_vec();
-            self.delta.sources.insert(skey, row);
-        }
-        let row = self.delta.sources.get_mut(&skey).expect("overlay ensured");
-        let pos = row.partition_point(|&(o, _)| o < object);
-        row.insert(pos, (object, value));
+        let added = &mut self
+            .delta
+            .sources
+            .entry(source.index() as u32)
+            .or_default()
+            .added;
+        let pos = added.partition_point(|&(o, _)| o < object);
+        added.insert(pos, (object, value));
 
         if !self.domain(object).contains(&value) {
-            if !self.delta.domains.contains_key(&okey) {
-                let row = self.base_domain_row(object.index()).to_vec();
-                self.delta.domains.insert(okey, row);
-            }
+            let csr = &self.base.csr;
             self.delta
                 .domains
-                .get_mut(&okey)
-                .expect("overlay ensured")
+                .row_mut(object.index(), || csr.domain_row(object.index()).to_vec())
                 .push(value);
         }
 
         self.num_sources = self.num_sources.max(source.index() + 1);
         self.num_objects = self.num_objects.max(object.index() + 1);
         self.num_values = self.num_values.max(value.index() + 1);
-        self.delta.pending += 1;
         Ok(Some(obs))
     }
 
@@ -705,11 +974,11 @@ impl Dataset {
     ///
     /// Cost model: claims are grouped by object, so each touched object row is moved to
     /// the delta overlay (one clone of the base row) and has its domain recomputed in
-    /// first-seen order **once per batch**, however many of its claims are evicted;
-    /// likewise each touched source row is cloned once. Log entries are tombstoned and
-    /// dropped at the next compaction; cost is O(touched rows + batch · log batch), never
-    /// O(dataset). The result is state-identical to evicting the pairs one at a time in
-    /// order.
+    /// first-seen order **once per batch**, however many of its claims are evicted.
+    /// Each evicted claim is recorded in its source's delta, and its log entry is
+    /// tombstoned until the next compaction; cost is O(touched rows + batch · delta),
+    /// never O(dataset). The result is state-identical to evicting the pairs one at a
+    /// time in order.
     pub fn evict_batch(&mut self, claims: &[(SourceId, ObjectId)]) -> usize {
         if claims.is_empty() {
             return 0;
@@ -718,7 +987,8 @@ impl Dataset {
         let mut by_object: Vec<(ObjectId, SourceId)> =
             claims.iter().map(|&(s, o)| (o, s)).collect();
         by_object.sort_unstable();
-        let mut removed: Vec<(SourceId, ObjectId, ValueId, u32)> = Vec::new();
+        let base_log = self.base.observations.len();
+        let mut dead: Vec<u32> = Vec::new();
         let mut i = 0;
         while i < by_object.len() {
             let object = by_object[i].0;
@@ -726,33 +996,32 @@ impl Dataset {
                 .iter()
                 .position(|&(o, _)| o != object)
                 .map_or(by_object.len(), |p| i + p);
-            let oi = object.index();
-            let okey = oi as u32;
-            let run_removed_start = removed.len();
+            let evicted_before = dead.len();
             for &(_, source) in &by_object[i..run_end] {
-                let (pos, value, seq) = {
-                    let row = self.observations_for_object(object);
-                    match row.binary_search_by_key(&source, |&(s, _)| s) {
-                        Ok(pos) => (pos, row[pos].1, self.object_row_seqs(oi)[pos]),
-                        Err(_) => continue,
-                    }
+                let row = self.observations_for_object(object);
+                let Ok(pos) = row.binary_search_by_key(&source, |&(s, _)| s) else {
+                    continue;
                 };
-                if !self.delta.objects.contains_key(&okey) {
-                    let entries = self.base_object_row(oi).to_vec();
-                    let seqs = self.base_object_seqs(oi).to_vec();
-                    self.delta
-                        .objects
-                        .insert(okey, RowOverlay { entries, seqs });
-                }
-                let ov = self.delta.objects.get_mut(&okey).expect("overlay ensured");
+                let ov = self.object_overlay(object.index());
                 ov.entries.remove(pos);
-                ov.seqs.remove(pos);
-                removed.push((source, object, value, seq));
+                let seq = ov.seqs.remove(pos);
+                let delta = self.delta.sources.entry(source.index() as u32).or_default();
+                if (seq as usize) < base_log {
+                    let at = delta.removed.partition_point(|&o| o < object);
+                    delta.removed.insert(at, object);
+                } else {
+                    let at = delta
+                        .added
+                        .binary_search_by_key(&object, |&(o, _)| o)
+                        .expect("a claim appended since the base is in its source's delta");
+                    delta.added.remove(at);
+                }
+                dead.push(seq);
             }
-            if removed.len() > run_removed_start {
+            if dead.len() > evicted_before {
                 // Recompute the domain in first-seen (log) order over the surviving
                 // claims — once for the whole batch, not per evicted claim.
-                let ov = self.delta.objects.get(&okey).expect("overlay ensured");
+                let ov = &self.delta.objects.rows[&(object.index() as u32)];
                 let mut ordered: Vec<(u32, ValueId)> = ov
                     .seqs
                     .iter()
@@ -766,48 +1035,30 @@ impl Dataset {
                         dom.push(v);
                     }
                 }
-                self.delta.domains.insert(okey, dom);
+                *self.delta.domains.row_mut(object.index(), Vec::new) = dom;
             }
             i = run_end;
         }
-        if removed.is_empty() {
+        if dead.is_empty() {
             return 0;
         }
-
-        // Second pass, grouped by source: one overlay ensure per touched source row.
-        let mut by_source: Vec<(SourceId, ObjectId, ValueId)> =
-            removed.iter().map(|&(s, o, v, _)| (s, o, v)).collect();
-        by_source.sort_unstable();
-        for &(source, object, value) in &by_source {
-            let skey = source.index() as u32;
-            if !self.delta.sources.contains_key(&skey) {
-                let row = self.base_source_row(source.index()).to_vec();
-                self.delta.sources.insert(skey, row);
-            }
-            let row = self.delta.sources.get_mut(&skey).expect("overlay ensured");
-            if let Ok(pos) = row.binary_search_by_key(&object, |&(o, _)| o) {
-                debug_assert_eq!(row[pos].1, value);
-                row.remove(pos);
-            }
+        dead.sort_unstable();
+        let in_order = self.delta.dead.last().map_or(true, |&last| last < dead[0]);
+        self.delta.dead.extend_from_slice(&dead);
+        if !in_order {
+            self.delta.dead.sort_unstable();
         }
-
-        let n = self.observations.len();
-        let live = self.live.get_or_insert_with(|| vec![true; n]);
-        for &(_, _, _, seq) in &removed {
-            live[seq as usize] = false;
-        }
-        self.num_dead += removed.len();
-        removed.len()
+        dead.len()
     }
 
-    /// Claims appended since the last build/compaction (the delta log's size).
+    /// Claims appended since the last build/compaction (the log tail's length).
     pub fn pending_appends(&self) -> usize {
-        self.delta.pending
+        self.delta.tail.len()
     }
 
     /// Tombstoned claims still occupying log slots until the next compaction.
     pub fn dead_claims(&self) -> usize {
-        self.num_dead
+        self.delta.dead.len()
     }
 
     /// Number of compactions this dataset has absorbed.
@@ -819,79 +1070,100 @@ impl Dataset {
     /// which have a row for every handle. A name interned since the last compaction
     /// without a claim (a label for an object no source has named) has no base row
     /// yet, so it leaves the dataset uncompacted until [`Dataset::compact`] adds one.
+    /// (Every overlay row and source delta comes with an appended or a tombstoned
+    /// claim, so an empty tail and no tombstones mean no overlay.)
     pub fn is_compacted(&self) -> bool {
-        self.delta.pending == 0
-            && self.num_dead == 0
-            && self.delta.objects.is_empty()
-            && self.delta.sources.is_empty()
-            && self.delta.domains.is_empty()
-            && self.by_object_offsets.len() == self.num_objects + 1
-            && self.by_source_offsets.len() == self.num_sources + 1
+        self.delta.tail.is_empty()
+            && self.delta.dead.is_empty()
+            && self.base.csr.by_object_offsets.len() == self.num_objects + 1
+            && self.base.csr.by_source_offsets.len() == self.num_sources + 1
     }
 
-    /// The dataset with its delta log folded into the base CSR arrays: tombstoned log
-    /// entries dropped, every overlay row in place of its base row, and the log
-    /// sequence numbers renumbered to the live claims' positions. A dataset without
-    /// delta comes back as a plain clone.
+    /// Whether this dataset and `other` share one base segment, as a clone does
+    /// until either side compacts.
+    pub fn shares_base(&self, other: &Dataset) -> bool {
+        Arc::ptr_eq(&self.base, &other.base)
+    }
+
+    /// The dataset with its delta folded into a fresh base segment: tombstoned log
+    /// entries dropped, every overlay row and source delta in place of its base row,
+    /// the names interned since the last compaction appended to the base
+    /// vocabularies, and the log sequence numbers renumbered to the live claims'
+    /// positions. A dataset without delta comes back as a plain clone, on the same
+    /// base.
     ///
     /// The result is bitwise-identical, on every array, to a dataset built from
     /// scratch from the same live claims under the same vocabulary, with the
     /// compaction counter one higher. It is a merge, not a re-index: each object,
-    /// source and domain row is copied from the base or from its overlay row (runs of
+    /// source and domain row is copied from the base or from its delta (runs of
     /// untouched rows in one slice copy), and when tombstones exist the sequence column
-    /// is renumbered by a prefix-sum rank over the liveness bitmap. Still O(dataset),
-    /// so it counts in [`full_index_passes`].
+    /// is renumbered by a prefix-sum rank over the log. Still O(dataset), so it counts
+    /// in [`full_index_passes`].
     pub fn compacted(&self) -> Dataset {
         if self.is_compacted() {
             return self.clone();
         }
-        FULL_INDEX_PASSES.with(|passes| passes.set(passes.get() + 1));
         let mut observations = Vec::with_capacity(self.num_observations());
-        observations.extend(self.live_observations().copied());
+        for run in self.live_runs() {
+            for part in self.log_slices(run) {
+                observations.extend_from_slice(part);
+            }
+        }
+        let base = Base {
+            observations,
+            csr: self.compacted_csr(),
+            sources: self.source_names().merged(),
+            objects: self.object_names().merged(),
+            values: self.value_names().merged(),
+        };
+        Dataset::on_base(
+            base,
+            [self.num_sources, self.num_objects, self.num_values],
+            self.compactions + 1,
+        )
+    }
+
+    /// The CSR arrays of [`Dataset::compacted`]: each row from the base or its delta.
+    fn compacted_csr(&self) -> CsrIndex {
+        FULL_INDEX_PASSES.with(|passes| passes.set(passes.get() + 1));
+        let (csr, delta) = (&self.base.csr, &self.delta);
         let (by_object, by_object_offsets) = merge_rows(
-            &self.by_object,
-            &self.by_object_offsets,
+            &csr.by_object,
+            &csr.by_object_offsets,
             self.num_objects,
-            &self.delta.objects,
-            |row| &row.entries,
+            &delta.objects.rows,
         );
         let (mut by_object_seq, _) = merge_rows(
-            &self.by_object_seq,
-            &self.by_object_offsets,
+            &csr.by_object_seq,
+            &csr.by_object_offsets,
             self.num_objects,
-            &self.delta.objects,
-            |row| &row.seqs,
+            &delta.objects.rows,
         );
-        if let Some(live) = &self.live {
+        if !delta.dead.is_empty() {
             // A live claim's new sequence number is the count of live claims before it.
-            let mut rank = Vec::with_capacity(live.len());
-            let mut next = 0u32;
-            for &alive in live {
-                rank.push(next);
-                next += u32::from(alive);
+            let mut rank = Vec::with_capacity(self.log_len() + 1);
+            for (next, run) in self.live_runs().enumerate() {
+                let live_before = (run.start - next) as u32;
+                rank.extend(live_before..live_before + run.len() as u32);
+                rank.push(u32::MAX); // the tombstone that ends the run; never looked up
             }
             for seq in &mut by_object_seq {
                 *seq = rank[*seq as usize];
             }
         }
         let (by_source, by_source_offsets) = merge_rows(
-            &self.by_source,
-            &self.by_source_offsets,
+            &csr.by_source,
+            &csr.by_source_offsets,
             self.num_sources,
-            &self.delta.sources,
-            |row| row,
+            &delta.sources,
         );
         let (domains, domain_offsets) = merge_rows(
-            &self.domains,
-            &self.domain_offsets,
+            &csr.domains,
+            &csr.domain_offsets,
             self.num_objects,
-            &self.delta.domains,
-            |row| row,
+            &delta.domains.rows,
         );
-        Dataset {
-            observations,
-            live: None,
-            num_dead: 0,
+        CsrIndex {
             by_object,
             by_object_offsets,
             by_object_seq,
@@ -899,18 +1171,10 @@ impl Dataset {
             by_source_offsets,
             domains,
             domain_offsets,
-            sources: self.sources.clone(),
-            objects: self.objects.clone(),
-            values: self.values.clone(),
-            num_sources: self.num_sources,
-            num_objects: self.num_objects,
-            num_values: self.num_values,
-            delta: DeltaLog::default(),
-            compactions: self.compactions + 1,
         }
     }
 
-    /// Folds the delta log into the base CSR arrays in place: `*self` becomes
+    /// Folds the delta into a fresh base segment in place: `*self` becomes
     /// [`Dataset::compacted`]. No-op when there is no delta.
     pub fn compact(&mut self) {
         if !self.is_compacted() {
@@ -949,58 +1213,52 @@ impl Dataset {
                 return false;
             }
         }
-        let names = |a: &Interner<SourceId>, b: &Interner<SourceId>| {
-            a.iter().map(|(_, n)| n).eq(b.iter().map(|(_, n)| n))
-        };
-        names(&self.sources, &other.sources)
-            && self
-                .objects
-                .iter()
-                .map(|(_, n)| n)
-                .eq(other.objects.iter().map(|(_, n)| n))
-            && self
-                .values
-                .iter()
-                .map(|(_, n)| n)
-                .eq(other.values.iter().map(|(_, n)| n))
+        self.source_names().iter().eq(other.source_names().iter())
+            && self.object_names().iter().eq(other.object_names().iter())
+            && self.value_names().iter().eq(other.value_names().iter())
     }
 
     /// Heap footprint of the observation log, CSR indexes, and delta overlay, with an
     /// estimate of the equivalent nested-`Vec` layout for before/after comparisons.
+    ///
+    /// The base segment counts in full, although clones share it: the figures are
+    /// those of one dataset standing alone.
     pub fn storage_stats(&self) -> StorageStats {
         use std::mem::size_of;
+        let (base, csr) = (&*self.base, &self.base.csr);
         let entry = size_of::<(SourceId, ValueId)>();
-        let log_bytes = self.observations.len() * size_of::<Observation>();
-        let index_bytes = self.by_object.len() * entry
-            + self.by_source.len() * entry
-            + self.domains.len() * size_of::<ValueId>()
-            + (self.by_object_offsets.len()
-                + self.by_source_offsets.len()
-                + self.domain_offsets.len()
-                + self.by_object_seq.len())
+        let log_bytes = self.log_len() * size_of::<Observation>();
+        let index_bytes = csr.by_object.len() * entry
+            + csr.by_source.len() * entry
+            + csr.domains.len() * size_of::<ValueId>()
+            + (csr.by_object_offsets.len()
+                + csr.by_source_offsets.len()
+                + csr.domain_offsets.len()
+                + csr.by_object_seq.len())
                 * size_of::<u32>();
         // The pre-CSR layout kept one Vec per object row, per source row, and per
         // domain row; a Vec header is 3 words (ptr, len, cap) = 24 bytes on 64-bit.
         const VEC_HEADER: usize = 24;
-        let nested_equivalent_bytes = self.by_object.len() * entry
-            + self.by_source.len() * entry
-            + self.domains.len() * size_of::<ValueId>()
+        let nested_equivalent_bytes = csr.by_object.len() * entry
+            + csr.by_source.len() * entry
+            + csr.domains.len() * size_of::<ValueId>()
             + (2 * self.num_objects() + self.num_sources()) * VEC_HEADER;
-        let delta_bytes =
-            self.delta.overlay_bytes() + self.live.as_ref().map_or(0, |flags| flags.len());
         StorageStats {
             num_observations: self.num_observations(),
             log_bytes,
             index_bytes,
             nested_equivalent_bytes,
             live_claims: self.num_observations(),
-            dead_claims: self.num_dead,
-            pending_appends: self.delta.pending,
-            delta_bytes,
+            dead_claims: self.dead_claims(),
+            pending_appends: self.pending_appends(),
+            delta_bytes: self.delta.bytes(),
             compactions: self.compactions,
-            name_bytes: self.sources.heap_bytes()
-                + self.objects.heap_bytes()
-                + self.values.heap_bytes(),
+            name_bytes: base.sources.heap_bytes()
+                + base.objects.heap_bytes()
+                + base.values.heap_bytes()
+                + self.delta.source_names.heap_bytes()
+                + self.delta.object_names.heap_bytes()
+                + self.delta.value_names.heap_bytes(),
         }
     }
 
@@ -1022,9 +1280,9 @@ impl Dataset {
         DatasetBuilder {
             observations,
             seen,
-            sources: self.sources.clone(),
-            objects: self.objects.clone(),
-            values: self.values.clone(),
+            sources: self.source_names().merged(),
+            objects: self.object_names().merged(),
+            values: self.value_names().merged(),
             num_sources: self.num_sources(),
             num_objects: self.num_objects(),
             num_values: self.num_values(),
@@ -1051,7 +1309,7 @@ impl Dataset {
             }
         }
         // Only the claim-sized vectors need capacity here: all three interners are
-        // replaced below (clones or re-interned kept names).
+        // replaced below (copies or re-interned kept names).
         let mut builder = DatasetBuilder {
             observations: Vec::with_capacity(self.num_observations()),
             seen: HashMap::with_capacity(self.num_observations()),
@@ -1060,13 +1318,13 @@ impl Dataset {
         // Preserve object and value vocabularies so handles stay comparable across the
         // restricted and full datasets; carry source names over when the kept sources
         // are all named so name lookups keep working.
-        builder.objects = self.objects.clone();
-        builder.values = self.values.clone();
+        builder.objects = self.object_names().merged();
+        builder.values = self.value_names().merged();
         builder.num_objects = self.num_objects();
         builder.num_values = self.num_values();
-        if keep_sorted.iter().all(|&s| self.sources.name(s).is_some()) {
+        if keep_sorted.iter().all(|&s| self.source_name(s).is_some()) {
             for &old in &keep_sorted {
-                let name = self.sources.name(old).expect("checked above");
+                let name = self.source_name(old).expect("checked above");
                 builder.sources.intern(name);
             }
         }
@@ -1082,20 +1340,14 @@ impl Dataset {
     }
 }
 
-/// Borrowed view of a compacted [`Dataset`]'s base CSR arrays and vocabularies,
-/// consumed by the snapshot writer (`crate::snapshot`). Only meaningful when
-/// [`Dataset::is_compacted`] holds — overlay rows are not represented.
+/// Borrowed view of a compacted [`Dataset`]: its CSR arrays, vocabularies and counts,
+/// consumed by the snapshot writer (`crate::snapshot`). The vocabularies include the
+/// names interned since the last compaction.
 pub(crate) struct DatasetColumns<'a> {
-    pub by_object: &'a [(SourceId, ValueId)],
-    pub by_object_offsets: &'a [u32],
-    pub by_object_seq: &'a [u32],
-    pub by_source: &'a [(ObjectId, ValueId)],
-    pub by_source_offsets: &'a [u32],
-    pub domains: &'a [ValueId],
-    pub domain_offsets: &'a [u32],
-    pub sources: &'a Interner<SourceId>,
-    pub objects: &'a Interner<ObjectId>,
-    pub values: &'a Interner<ValueId>,
+    pub csr: &'a CsrIndex,
+    pub sources: Names<'a, SourceId>,
+    pub objects: Names<'a, ObjectId>,
+    pub values: Names<'a, ValueId>,
     pub num_sources: usize,
     pub num_objects: usize,
     pub num_values: usize,
@@ -1106,13 +1358,7 @@ pub(crate) struct DatasetColumns<'a> {
 /// reader (`crate::snapshot`) and assembled with [`Dataset::from_parts`].
 pub(crate) struct DatasetParts {
     pub observations: Vec<Observation>,
-    pub by_object: Vec<(SourceId, ValueId)>,
-    pub by_object_offsets: Vec<u32>,
-    pub by_object_seq: Vec<u32>,
-    pub by_source: Vec<(ObjectId, ValueId)>,
-    pub by_source_offsets: Vec<u32>,
-    pub domains: Vec<ValueId>,
-    pub domain_offsets: Vec<u32>,
+    pub csr: CsrIndex,
     pub sources: Interner<SourceId>,
     pub objects: Interner<ObjectId>,
     pub values: Interner<ValueId>,
@@ -1123,56 +1369,51 @@ pub(crate) struct DatasetParts {
 }
 
 impl Dataset {
-    /// Borrows the base CSR arrays and vocabularies for columnar serialization.
-    /// Callers must hold [`Dataset::is_compacted`]; the view ignores any delta.
-    pub(crate) fn columns(&self) -> DatasetColumns<'_> {
-        debug_assert!(
-            self.is_compacted(),
-            "columns() requires a compacted dataset"
-        );
-        DatasetColumns {
-            by_object: &self.by_object,
-            by_object_offsets: &self.by_object_offsets,
-            by_object_seq: &self.by_object_seq,
-            by_source: &self.by_source,
-            by_source_offsets: &self.by_source_offsets,
-            domains: &self.domains,
-            domain_offsets: &self.domain_offsets,
-            sources: &self.sources,
-            objects: &self.objects,
-            values: &self.values,
+    /// The columns of [`Dataset::compacted`] handed to `write`: this dataset's own
+    /// when it is compacted, otherwise freshly merged CSR arrays. Only the arrays are
+    /// merged: the claim log, which the columns leave out, is not copied, and the
+    /// names are read in place.
+    pub(crate) fn with_compacted_columns<R>(
+        &self,
+        write: impl FnOnce(DatasetColumns<'_>) -> R,
+    ) -> R {
+        let merged;
+        let (csr, compactions) = if self.is_compacted() {
+            (&self.base.csr, self.compactions)
+        } else {
+            merged = self.compacted_csr();
+            (&merged, self.compactions + 1)
+        };
+        write(DatasetColumns {
+            csr,
+            sources: self.source_names(),
+            objects: self.object_names(),
+            values: self.value_names(),
             num_sources: self.num_sources,
             num_objects: self.num_objects,
             num_values: self.num_values,
-            compactions: self.compactions,
-        }
+            compactions,
+        })
     }
 
     /// Assembles a compacted dataset directly from its CSR arrays, bypassing the
-    /// indexing pass. The caller (the snapshot reader) is responsible for the CSR
-    /// invariants: row slices sorted by their first component, offsets covering the
-    /// entry vectors, and `observations` aligned with `by_object_seq`.
+    /// indexing pass; the arrays move into the new base segment. The caller (the
+    /// snapshot reader) is responsible for the CSR invariants: row slices sorted by
+    /// their first component, offsets covering the entry vectors, and `observations`
+    /// aligned with `by_object_seq`.
     pub(crate) fn from_parts(parts: DatasetParts) -> Dataset {
-        Dataset {
+        let base = Base {
             observations: parts.observations,
-            live: None,
-            num_dead: 0,
-            by_object: parts.by_object,
-            by_object_offsets: parts.by_object_offsets,
-            by_object_seq: parts.by_object_seq,
-            by_source: parts.by_source,
-            by_source_offsets: parts.by_source_offsets,
-            domains: parts.domains,
-            domain_offsets: parts.domain_offsets,
+            csr: parts.csr,
             sources: parts.sources,
             objects: parts.objects,
             values: parts.values,
-            num_sources: parts.num_sources,
-            num_objects: parts.num_objects,
-            num_values: parts.num_values,
-            delta: DeltaLog::default(),
-            compactions: parts.compactions,
-        }
+        };
+        Dataset::on_base(
+            base,
+            [parts.num_sources, parts.num_objects, parts.num_values],
+            parts.compactions,
+        )
     }
 }
 
@@ -1318,27 +1559,14 @@ impl DatasetBuilder {
         let num_sources = self.num_sources.max(self.sources.len());
         let num_objects = self.num_objects.max(self.objects.len());
         let num_values = self.num_values.max(self.values.len());
-        let index = index_observations(&self.observations, num_sources, num_objects);
-        Dataset {
+        let base = Base {
+            csr: index_observations(&self.observations, num_sources, num_objects),
             observations: self.observations,
-            live: None,
-            num_dead: 0,
-            by_object: index.by_object,
-            by_object_offsets: index.by_object_offsets,
-            by_object_seq: index.by_object_seq,
-            by_source: index.by_source,
-            by_source_offsets: index.by_source_offsets,
-            domains: index.domains,
-            domain_offsets: index.domain_offsets,
             sources: self.sources,
             objects: self.objects,
             values: self.values,
-            num_sources,
-            num_objects,
-            num_values,
-            delta: DeltaLog::default(),
-            compactions: 0,
-        }
+        };
+        Dataset::on_base(base, [num_sources, num_objects, num_values], 0)
     }
 }
 
@@ -1685,47 +1913,41 @@ pub(crate) mod tests {
     }
 
     /// The compaction this module ran before the merge: drop the tombstones, then
-    /// re-index the live log from scratch. The merge must match it on every field.
+    /// re-index the live log from scratch. The merge must match it on every field. A
+    /// compacted dataset is rebuilt too, onto a base of its own, with its counter kept.
     fn compacted_by_reindex(d: &Dataset) -> Dataset {
-        let mut out = d.clone();
-        if out.is_compacted() {
-            return out;
-        }
-        out.observations = d.live_observations().copied().collect();
-        let index = index_observations(&out.observations, out.num_sources, out.num_objects);
-        out.by_object = index.by_object;
-        out.by_object_offsets = index.by_object_offsets;
-        out.by_object_seq = index.by_object_seq;
-        out.by_source = index.by_source;
-        out.by_source_offsets = index.by_source_offsets;
-        out.domains = index.domains;
-        out.domain_offsets = index.domain_offsets;
-        out.live = None;
-        out.num_dead = 0;
-        out.delta = DeltaLog::default();
-        out.compactions += 1;
-        out
+        let observations: Vec<Observation> = d.live_observations().copied().collect();
+        let base = Base {
+            csr: index_observations(&observations, d.num_sources, d.num_objects),
+            observations,
+            sources: d.source_names().merged(),
+            objects: d.object_names().merged(),
+            values: d.value_names().merged(),
+        };
+        Dataset::on_base(
+            base,
+            [d.num_sources, d.num_objects, d.num_values],
+            d.compactions + usize::from(!d.is_compacted()),
+        )
     }
 
     /// Asserts two compacted datasets agree on every field, `by_object_seq` and the
     /// compaction counter included (which `same_content` does not compare).
     fn assert_identical(merged: &Dataset, reference: &Dataset, what: &str) {
         assert!(merged.is_compacted() && reference.is_compacted(), "{what}");
-        assert!(merged.live.is_none() && merged.num_dead == 0, "{what}");
-        assert_eq!(merged.observations, reference.observations, "{what}: log");
-        assert_eq!(merged.by_object, reference.by_object, "{what}: by_object");
+        assert!(merged.delta.dead.is_empty(), "{what}");
         assert_eq!(
-            merged.by_object_offsets, reference.by_object_offsets,
-            "{what}"
+            merged.base.observations, reference.base.observations,
+            "{what}: log"
         );
-        assert_eq!(merged.by_object_seq, reference.by_object_seq, "{what}: seq");
-        assert_eq!(merged.by_source, reference.by_source, "{what}: by_source");
-        assert_eq!(
-            merged.by_source_offsets, reference.by_source_offsets,
-            "{what}"
-        );
-        assert_eq!(merged.domains, reference.domains, "{what}: domains");
-        assert_eq!(merged.domain_offsets, reference.domain_offsets, "{what}");
+        let (m, r) = (&merged.base.csr, &reference.base.csr);
+        assert_eq!(m.by_object, r.by_object, "{what}: by_object");
+        assert_eq!(m.by_object_offsets, r.by_object_offsets, "{what}");
+        assert_eq!(m.by_object_seq, r.by_object_seq, "{what}: seq");
+        assert_eq!(m.by_source, r.by_source, "{what}: by_source");
+        assert_eq!(m.by_source_offsets, r.by_source_offsets, "{what}");
+        assert_eq!(m.domains, r.domains, "{what}: domains");
+        assert_eq!(m.domain_offsets, r.domain_offsets, "{what}");
         let counts = |d: &Dataset| (d.num_sources, d.num_objects, d.num_values, d.compactions);
         assert_eq!(counts(merged), counts(reference), "{what}: counts");
         assert!(merged.same_content(reference), "{what}: names");
@@ -1739,10 +1961,12 @@ pub(crate) mod tests {
     /// A random dataset history: a built base with reserved handles past the named
     /// ones, then appends, single and batched evictions (with duplicate and missing
     /// pairs), re-asserted claims, newly interned names and mid-stream compactions.
-    /// `on_compact(before, merged, step)` sees each mid-stream compaction.
+    /// `on_compact(before, merged, step)` sees each mid-stream compaction, and
+    /// `on_step(dataset)` the dataset after every step.
     pub(crate) fn random_history(
         rng: &mut rand::rngs::StdRng,
         mut on_compact: impl FnMut(&Dataset, &Dataset, usize),
+        mut on_step: impl FnMut(&Dataset),
     ) -> Dataset {
         use rand::rngs::StdRng;
         use rand::Rng;
@@ -1809,6 +2033,7 @@ pub(crate) mod tests {
                 }
                 _ => {}
             }
+            on_step(&d);
         }
         d
     }
@@ -1820,10 +2045,14 @@ pub(crate) mod tests {
 
         let mut rng = StdRng::seed_from_u64(0xC0_4AC7);
         for case in 0..400 {
-            let mut d = random_history(&mut rng, |before, merged, step| {
-                let what = format!("case {case} step {step}");
-                assert_identical(merged, &compacted_by_reindex(before), &what);
-            });
+            let mut d = random_history(
+                &mut rng,
+                |before, merged, step| {
+                    let what = format!("case {case} step {step}");
+                    assert_identical(merged, &compacted_by_reindex(before), &what);
+                },
+                |_| {},
+            );
             let what = format!("case {case}");
             let reference = compacted_by_reindex(&d);
             let before = full_index_passes();
@@ -1833,6 +2062,74 @@ pub(crate) mod tests {
             d.compact();
             assert_identical(&d, &reference, &what);
         }
+    }
+
+    /// Clones taken at random points of a history, as a publish takes them while the
+    /// writer keeps going: each must still hold exactly its own prefix, on every array
+    /// and in its container bytes, whatever the writer did after it.
+    #[test]
+    fn clones_keep_their_prefix_while_the_writer_moves_on() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let mut rng = StdRng::seed_from_u64(0x5EA5_C10E);
+        let mut publish = StdRng::seed_from_u64(0xC10E);
+        for case in 0..300 {
+            let mut clones: Vec<(Dataset, Dataset)> = Vec::new();
+            let writer = random_history(
+                &mut rng,
+                |_, _, _| {},
+                |d| {
+                    if publish.gen_bool(0.25) {
+                        clones.push((d.clone(), compacted_by_reindex(d)));
+                    }
+                },
+            );
+            clones.push((writer.clone(), compacted_by_reindex(&writer)));
+            for (i, (clone, reference)) in clones.iter().enumerate() {
+                let what = format!("case {case} clone {i}");
+                assert!(clone.same_content(reference), "{what}: content");
+                assert_identical(&clone.compacted(), reference, &what);
+                let mut bytes = Vec::new();
+                crate::snapshot::append_compacted_dataset(&mut bytes, clone);
+                crate::format::append_checksum(&mut bytes);
+                assert_eq!(
+                    bytes,
+                    crate::snapshot::dataset_to_bytes(reference).unwrap(),
+                    "{what}: bytes written without compacting"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn clones_share_the_base_and_every_rebuild_makes_a_fresh_one() {
+        let mut writer = toy();
+        writer.append_named("s9", "o9", "new").unwrap();
+        let published = writer.clone();
+        assert!(Arc::ptr_eq(&published.base, &writer.base));
+        assert!(published.shares_base(&writer));
+        // Appends and evictions write the writer's own delta, never the base.
+        writer.append_named("s9", "o0", "true").unwrap();
+        let (s0, o0) = (
+            writer.source_id("s0").unwrap(),
+            writer.object_id("o0").unwrap(),
+        );
+        assert!(writer.evict(s0, o0));
+        assert!(published.shares_base(&writer));
+        assert_eq!(published.num_observations(), 6);
+        assert_eq!(published.observations_for_object(o0).len(), 3);
+
+        let compacted = writer.compacted();
+        assert!(!compacted.shares_base(&writer));
+        assert!(compacted.clone().shares_base(&compacted));
+        assert!(compacted.compacted().shares_base(&compacted));
+        let bytes = crate::snapshot::dataset_to_bytes(&compacted).unwrap();
+        let decoded = crate::snapshot::dataset_from_bytes(&bytes).unwrap();
+        assert!(!decoded.shares_base(&compacted));
+        let built = compacted.to_builder().build();
+        assert!(!built.shares_base(&compacted));
+        assert!(built.same_content(&compacted) && decoded.same_content(&compacted));
     }
 
     #[test]

@@ -82,8 +82,9 @@ define_id!(
 ///   half full. A probe compares the candidate handle's name in place in `bytes`.
 ///
 /// Each name lives in memory once, and a clone copies the three buffers with no
-/// allocation per name. That clone is part of every serving publish, refit capture,
-/// checkpoint and cold start, because each of them copies a whole dataset.
+/// allocation per name. A [`crate::Dataset`] keeps the vocabularies of its last build
+/// or compaction in its shared base segment, so a serving publish, refit capture or
+/// cold start copies only the names interned since, which a second interner holds.
 ///
 /// Names are hashed with std's keyed `RandomState` (SipHash under per-process random
 /// keys). Claim feeds are third-party input, and an unkeyed hash would let a feed pick
@@ -197,6 +198,20 @@ impl<Id> Interner<Id> {
         }
     }
 
+    /// An empty interner that hashes with this one's keys, so one hash of a name serves a
+    /// lookup in both.
+    pub(crate) fn sharing_keys(&self) -> Self {
+        Self {
+            hasher: self.hasher.clone(),
+            ..Self::new()
+        }
+    }
+
+    /// The keyed hash of `name` that this interner's table is probed with.
+    pub(crate) fn hash_name(&self, name: &str) -> u64 {
+        self.hasher.hash_one(name)
+    }
+
     /// Rebuilds the table with `slots` slots (a power of two above twice the length).
     fn rehash(&mut self, slots: usize) {
         let mut table = vec![EMPTY; slots];
@@ -226,7 +241,11 @@ where
 
     /// [`Interner::intern`], returning `None` instead of panicking on overflow.
     pub(crate) fn try_intern(&mut self, name: &str) -> Option<Id> {
-        let hash = self.hasher.hash_one(name);
+        self.try_intern_hashed(name, self.hasher.hash_one(name))
+    }
+
+    /// [`Interner::try_intern`] with `hash`, the [`Interner::hash_name`] of `name`.
+    pub(crate) fn try_intern_hashed(&mut self, name: &str, hash: u64) -> Option<Id> {
         if let Some(handle) = self.find(name, hash) {
             return Some(Id::from(handle as usize));
         }
@@ -244,7 +263,12 @@ where
 
     /// Returns the handle for `name` if it has been interned.
     pub fn get(&self, name: &str) -> Option<Id> {
-        self.find(name, self.hasher.hash_one(name))
+        self.get_hashed(name, self.hasher.hash_one(name))
+    }
+
+    /// [`Interner::get`] with `hash`, the [`Interner::hash_name`] of `name`.
+    pub(crate) fn get_hashed(&self, name: &str, hash: u64) -> Option<Id> {
+        self.find(name, hash)
             .map(|handle| Id::from(handle as usize))
     }
 

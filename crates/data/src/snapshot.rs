@@ -59,7 +59,7 @@
 
 use std::path::{Path, PathBuf};
 
-use crate::dataset::{Dataset, DatasetParts};
+use crate::dataset::{CsrIndex, Dataset, DatasetParts};
 use crate::error::DataError;
 use crate::faults;
 use crate::features::{FeatureMatrix, FeatureValue};
@@ -79,12 +79,10 @@ const FEATURES_MAGIC: [u8; 4] = *b"SLFF";
 /// Current feature-matrix container version.
 pub const FEATURES_FORMAT_VERSION: u32 = 1;
 
-fn write_dict<Id: Copy + From<usize> + crate::ids::IdLike>(
-    out: &mut Vec<u8>,
-    interner: &Interner<Id>,
-) {
-    format::write_varint(out, interner.len() as u64);
-    for (_, name) in interner.iter() {
+/// Writes `len` names, in handle order.
+fn write_dict<'a>(out: &mut Vec<u8>, len: usize, names: impl Iterator<Item = &'a str>) {
+    format::write_varint(out, len as u64);
+    for name in names {
         format::write_str(out, name);
     }
 }
@@ -142,8 +140,9 @@ fn open_container<'a>(
 /// Serializes a compacted dataset into the columnar `SLFD` container.
 ///
 /// Fails with [`DataError::Invalid`] when the dataset carries pending appends or
-/// tombstones — serialize [`Dataset::compacted`] instead (the serving-bundle writer
-/// does).
+/// tombstones — serialize [`Dataset::compacted`] instead, or append it with
+/// [`append_compacted_dataset`], which writes those bytes without building it (the
+/// serving-bundle writer does).
 pub fn dataset_to_bytes(dataset: &Dataset) -> Result<Vec<u8>, DataError> {
     let mut out = dataset_to_unsealed_bytes(dataset)?;
     format::append_checksum(&mut out);
@@ -160,37 +159,48 @@ pub fn dataset_to_unsealed_bytes(dataset: &Dataset) -> Result<Vec<u8>, DataError
             "snapshots require a compacted dataset; serialize Dataset::compacted()".to_string(),
         ));
     }
-    let cols = dataset.columns();
-    let n = cols.by_object.len();
-    let mut out = Vec::with_capacity(32 + n * 6);
-    out.extend_from_slice(&DATASET_MAGIC);
-    out.extend_from_slice(&DATASET_FORMAT_VERSION.to_le_bytes());
-    for count in [
-        cols.num_sources,
-        cols.num_objects,
-        cols.num_values,
-        n,
-        cols.compactions,
-        cols.domains.len(),
-    ] {
-        format::write_varint(&mut out, count as u64);
-    }
-    write_dict(&mut out, cols.sources);
-    write_dict(&mut out, cols.objects);
-    write_dict(&mut out, cols.values);
-
-    format::write_offsets(&mut out, cols.by_object_offsets);
-    format::write_u32_values(&mut out, || cols.by_object.iter().map(|&(s, _)| s.0));
-    format::write_u32_values(&mut out, || cols.by_object.iter().map(|&(_, v)| v.0));
-    format::write_u32_column(&mut out, cols.by_object_seq);
-
-    format::write_offsets(&mut out, cols.by_source_offsets);
-    format::write_u32_values(&mut out, || cols.by_source.iter().map(|&(o, _)| o.0));
-    format::write_u32_values(&mut out, || cols.by_source.iter().map(|&(_, v)| v.0));
-
-    format::write_offsets(&mut out, cols.domain_offsets);
-    format::write_u32_values(&mut out, || cols.domains.iter().map(|&v| v.0));
+    let mut out = Vec::new();
+    append_compacted_dataset(&mut out, dataset);
     Ok(out)
+}
+
+/// Appends to `out` the [`dataset_to_unsealed_bytes`] of `dataset.compacted()`, without
+/// building the compacted dataset: a dataset with a delta has only its CSR arrays
+/// merged, and its claim log and vocabularies are not copied.
+pub fn append_compacted_dataset(out: &mut Vec<u8>, dataset: &Dataset) {
+    dataset.with_compacted_columns(|cols| {
+        let csr = cols.csr;
+        let n = csr.by_object.len();
+        // A raw column takes 4 bytes a claim; reserving past the end touches no page.
+        out.reserve(32 + n * 24);
+        out.extend_from_slice(&DATASET_MAGIC);
+        out.extend_from_slice(&DATASET_FORMAT_VERSION.to_le_bytes());
+        for count in [
+            cols.num_sources,
+            cols.num_objects,
+            cols.num_values,
+            n,
+            cols.compactions,
+            csr.domains.len(),
+        ] {
+            format::write_varint(out, count as u64);
+        }
+        write_dict(out, cols.sources.len(), cols.sources.iter());
+        write_dict(out, cols.objects.len(), cols.objects.iter());
+        write_dict(out, cols.values.len(), cols.values.iter());
+
+        format::write_offsets(out, &csr.by_object_offsets);
+        format::write_u32_values(out, || csr.by_object.iter().map(|&(s, _)| s.0));
+        format::write_u32_values(out, || csr.by_object.iter().map(|&(_, v)| v.0));
+        format::write_u32_column(out, &csr.by_object_seq);
+
+        format::write_offsets(out, &csr.by_source_offsets);
+        format::write_u32_values(out, || csr.by_source.iter().map(|&(o, _)| o.0));
+        format::write_u32_values(out, || csr.by_source.iter().map(|&(_, v)| v.0));
+
+        format::write_offsets(out, &csr.domain_offsets);
+        format::write_u32_values(out, || csr.domains.iter().map(|&v| v.0));
+    });
 }
 
 /// Validates that every entry of `col` is below `bound`.
@@ -335,13 +345,15 @@ fn dataset_from_container(bytes: &[u8], verify: bool) -> Result<Dataset, DataErr
 
     Ok(Dataset::from_parts(DatasetParts {
         observations,
-        by_object,
-        by_object_offsets,
-        by_object_seq,
-        by_source,
-        by_source_offsets,
-        domains,
-        domain_offsets,
+        csr: CsrIndex {
+            by_object,
+            by_object_offsets,
+            by_object_seq,
+            by_source,
+            by_source_offsets,
+            domains,
+            domain_offsets,
+        },
         sources,
         objects,
         values,
@@ -361,7 +373,12 @@ pub fn features_to_bytes(features: &FeatureMatrix) -> Vec<u8> {
     out.extend_from_slice(&FEATURES_FORMAT_VERSION.to_le_bytes());
     format::write_varint(&mut out, rows.len() as u64);
     format::write_varint(&mut out, nnz as u64);
-    write_dict(&mut out, features.interner());
+    let interner = features.interner();
+    write_dict(
+        &mut out,
+        interner.len(),
+        interner.iter().map(|(_, name)| name),
+    );
     let mut offsets = Vec::with_capacity(rows.len() + 1);
     offsets.push(0u32);
     let mut acc = 0u32;
@@ -746,19 +763,21 @@ mod tests {
             |a: &[u32], b: &[u32]| a.iter().copied().zip(b.iter().copied()).collect::<Vec<_>>();
         Ok(Dataset::from_parts(DatasetParts {
             observations,
-            by_object: zip(&obj_sources, &obj_values)
-                .into_iter()
-                .map(|(s, v)| (SourceId(s), ValueId(v)))
-                .collect(),
-            by_object_offsets,
-            by_object_seq,
-            by_source: zip(&src_objects, &src_values)
-                .into_iter()
-                .map(|(o, v)| (ObjectId(o), ValueId(v)))
-                .collect(),
-            by_source_offsets,
-            domains: domain_values.into_iter().map(ValueId).collect(),
-            domain_offsets,
+            csr: CsrIndex {
+                by_object: zip(&obj_sources, &obj_values)
+                    .into_iter()
+                    .map(|(s, v)| (SourceId(s), ValueId(v)))
+                    .collect(),
+                by_object_offsets,
+                by_object_seq,
+                by_source: zip(&src_objects, &src_values)
+                    .into_iter()
+                    .map(|(o, v)| (ObjectId(o), ValueId(v)))
+                    .collect(),
+                by_source_offsets,
+                domains: domain_values.into_iter().map(ValueId).collect(),
+                domain_offsets,
+            },
             sources,
             objects,
             values,
@@ -772,19 +791,23 @@ mod tests {
     /// Asserts two decoded datasets agree on every array, `by_object_seq` and the
     /// compaction counter included.
     fn assert_same_arrays(got: &Dataset, want: &Dataset, what: &str) {
-        let (a, b) = (got.columns(), want.columns());
         assert_eq!(got.observations(), want.observations(), "{what}: log");
-        assert_eq!(a.by_object, b.by_object, "{what}: by_object");
-        assert_eq!(a.by_object_offsets, b.by_object_offsets, "{what}");
-        assert_eq!(a.by_object_seq, b.by_object_seq, "{what}: seq");
-        assert_eq!(a.by_source, b.by_source, "{what}: by_source");
-        assert_eq!(a.by_source_offsets, b.by_source_offsets, "{what}");
-        assert_eq!(a.domains, b.domains, "{what}: domains");
-        assert_eq!(a.domain_offsets, b.domain_offsets, "{what}");
         let counts = |c: &crate::dataset::DatasetColumns<'_>| {
             (c.num_sources, c.num_objects, c.num_values, c.compactions)
         };
-        assert_eq!(counts(&a), counts(&b), "{what}: counts");
+        got.with_compacted_columns(|a| {
+            want.with_compacted_columns(|b| {
+                let (x, y) = (a.csr, b.csr);
+                assert_eq!(x.by_object, y.by_object, "{what}: by_object");
+                assert_eq!(x.by_object_offsets, y.by_object_offsets, "{what}");
+                assert_eq!(x.by_object_seq, y.by_object_seq, "{what}: seq");
+                assert_eq!(x.by_source, y.by_source, "{what}: by_source");
+                assert_eq!(x.by_source_offsets, y.by_source_offsets, "{what}");
+                assert_eq!(x.domains, y.domains, "{what}: domains");
+                assert_eq!(x.domain_offsets, y.domain_offsets, "{what}");
+                assert_eq!(counts(&a), counts(&b), "{what}: counts");
+            })
+        });
         assert!(got.same_content(want), "{what}: names");
     }
 
@@ -795,7 +818,9 @@ mod tests {
 
         let mut rng = StdRng::seed_from_u64(0xC01D_5EED);
         let mut datasets: Vec<Dataset> = (0..300)
-            .map(|_| crate::dataset::tests::random_history(&mut rng, |_, _, _| {}).compacted())
+            .map(|_| {
+                crate::dataset::tests::random_history(&mut rng, |_, _, _| {}, |_| {}).compacted()
+            })
             .collect();
         // Larger ones, so value columns run long and use multi-byte run varints.
         for (claims, values) in [(5_000usize, 2usize), (20_000, 1), (20_000, 5)] {

@@ -178,6 +178,41 @@ pub struct ClaimsSpec<'a> {
     pub copying: Option<CopyingModel>,
 }
 
+/// A claim of one source about one object: `(source, object) → value`.
+type Claims = HashMap<(usize, usize), usize>;
+
+/// Gives every object a claim and its true value a claimant, object by object: an
+/// object nobody claimed gets one `observe`d claim from a uniformly drawn source, and an
+/// object whose true value nobody claims has it asserted by a uniformly drawn claimant
+/// (in source order). Claimants are indexed by object once, so the pass is linear in
+/// the claims; it draws from `rng` exactly as a scan of every claim per object would.
+fn repair_claims(
+    claims: &mut Claims,
+    truth_values: &[usize],
+    num_sources: usize,
+    rng: &mut StdRng,
+    observe: &impl Fn(&mut StdRng, &mut Claims, usize, usize),
+) {
+    let mut claimants: Vec<Vec<usize>> = vec![Vec::new(); truth_values.len()];
+    for &(s, o) in claims.keys() {
+        claimants[o].push(s);
+    }
+    for (o, &true_value) in truth_values.iter().enumerate() {
+        let observers = &mut claimants[o];
+        if observers.is_empty() {
+            let s = rng.gen_range(0..num_sources);
+            observe(rng, claims, s, o);
+            observers.push(s);
+        }
+        if !observers.iter().any(|&s| claims[&(s, o)] == true_value) {
+            // Sort for determinism: HashMap iteration order varies between runs.
+            observers.sort_unstable();
+            let s = observers[rng.gen_range(0..observers.len())];
+            claims.insert((s, o), true_value);
+        }
+    }
+}
+
 /// Lays observations over the source × object grid.
 ///
 /// Guarantees single-truth semantics: every object ends up with at least one observation
@@ -205,22 +240,21 @@ pub fn generate_claims(
         .map(|_| rng.gen_range(0..spec.domain_size))
         .collect();
 
-    let mut claims: HashMap<(usize, usize), usize> = HashMap::new();
-    let observe =
-        |rng: &mut StdRng, claims: &mut HashMap<(usize, usize), usize>, s: usize, o: usize| {
-            let correct = rng.gen_bool(spec.true_accuracies[s].clamp(0.0, 1.0));
-            let value = if correct {
-                truth_values[o]
-            } else {
-                // A uniformly chosen wrong value.
-                let mut v = rng.gen_range(0..spec.domain_size - 1);
-                if v >= truth_values[o] {
-                    v += 1;
-                }
-                v
-            };
-            claims.insert((s, o), value);
+    let mut claims: Claims = HashMap::new();
+    let observe = |rng: &mut StdRng, claims: &mut Claims, s: usize, o: usize| {
+        let correct = rng.gen_bool(spec.true_accuracies[s].clamp(0.0, 1.0));
+        let value = if correct {
+            truth_values[o]
+        } else {
+            // A uniformly chosen wrong value.
+            let mut v = rng.gen_range(0..spec.domain_size - 1);
+            if v >= truth_values[o] {
+                v += 1;
+            }
+            v
         };
+        claims.insert((s, o), value);
+    };
     match spec.pattern {
         ObservationPattern::Bernoulli(p) => {
             for o in 0..spec.num_objects {
@@ -250,31 +284,7 @@ pub fn generate_claims(
 
     // Guarantee at least one observation per object (single-truth semantics needs a
     // claimant), and that the true value is claimed by at least one source.
-    for (o, &true_value) in truth_values.iter().enumerate() {
-        let observers: Vec<usize> = claims
-            .keys()
-            .filter(|(_, obj)| *obj == o)
-            .map(|(s, _)| *s)
-            .collect();
-        if observers.is_empty() {
-            let s = rng.gen_range(0..num_sources);
-            observe(rng, &mut claims, s, o);
-        }
-        let has_truth = claims
-            .iter()
-            .any(|((_, obj), &v)| *obj == o && v == true_value);
-        if !has_truth {
-            // Sort for determinism: HashMap iteration order varies between runs.
-            let mut observers: Vec<usize> = claims
-                .keys()
-                .filter(|(_, obj)| *obj == o)
-                .map(|(s, _)| *s)
-                .collect();
-            observers.sort_unstable();
-            let s = observers[rng.gen_range(0..observers.len())];
-            claims.insert((s, o), true_value);
-        }
-    }
+    repair_claims(&mut claims, &truth_values, num_sources, rng, &observe);
 
     // Copying: replicate leaders' claims onto copiers.
     let mut copier_pairs = Vec::new();
@@ -409,6 +419,94 @@ impl SyntheticConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The repair pass before claimants were indexed, which scanned every claim for
+    /// each object, twice. [`repair_claims`] must draw and write exactly what it did.
+    fn repair_claims_by_scan(
+        claims: &mut Claims,
+        truth_values: &[usize],
+        num_sources: usize,
+        rng: &mut StdRng,
+        observe: &impl Fn(&mut StdRng, &mut Claims, usize, usize),
+    ) {
+        for (o, &true_value) in truth_values.iter().enumerate() {
+            let observers: Vec<usize> = claims
+                .keys()
+                .filter(|(_, obj)| *obj == o)
+                .map(|(s, _)| *s)
+                .collect();
+            if observers.is_empty() {
+                let s = rng.gen_range(0..num_sources);
+                observe(rng, claims, s, o);
+            }
+            let has_truth = claims
+                .iter()
+                .any(|((_, obj), &v)| *obj == o && v == true_value);
+            if !has_truth {
+                let mut observers: Vec<usize> = claims
+                    .keys()
+                    .filter(|(_, obj)| *obj == o)
+                    .map(|(s, _)| *s)
+                    .collect();
+                observers.sort_unstable();
+                let s = observers[rng.gen_range(0..observers.len())];
+                claims.insert((s, o), true_value);
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_repair_draws_and_writes_what_the_scan_did() {
+        let (mut unclaimed, mut untrue) = (0, 0);
+        for seed in 0..60u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let num_sources = rng.gen_range(2..12usize);
+            let num_objects = rng.gen_range(1..60usize);
+            let domain_size = rng.gen_range(2..6usize);
+            let p = rng.gen_range(0.0..0.4);
+            let accuracies: Vec<f64> = (0..num_sources).map(|_| rng.gen_range(0.0..1.0)).collect();
+            let truth: Vec<usize> = (0..num_objects)
+                .map(|_| rng.gen_range(0..domain_size))
+                .collect();
+            let observe = |rng: &mut StdRng, claims: &mut Claims, s: usize, o: usize| {
+                let value = if rng.gen_bool(accuracies[s]) {
+                    truth[o]
+                } else {
+                    (truth[o] + rng.gen_range(1..domain_size)) % domain_size
+                };
+                claims.insert((s, o), value);
+            };
+            let mut claims = Claims::new();
+            for o in 0..num_objects {
+                for s in 0..num_sources {
+                    if rng.gen_bool(p) {
+                        observe(&mut rng, &mut claims, s, o);
+                    }
+                }
+            }
+            for (o, true_value) in truth.iter().enumerate() {
+                let values: Vec<usize> = (0..num_sources)
+                    .filter_map(|s| claims.get(&(s, o)).copied())
+                    .collect();
+                unclaimed += usize::from(values.is_empty());
+                untrue += usize::from(!values.is_empty() && !values.contains(true_value));
+            }
+            let (mut indexed, mut scanned) = (claims.clone(), claims);
+            let (mut a, mut b) = (rng.clone(), rng);
+            repair_claims(&mut indexed, &truth, num_sources, &mut a, &observe);
+            repair_claims_by_scan(&mut scanned, &truth, num_sources, &mut b, &observe);
+            assert_eq!(indexed, scanned, "seed {seed}");
+            assert_eq!(
+                a.gen::<u64>(),
+                b.gen::<u64>(),
+                "seed {seed}: draws diverged"
+            );
+        }
+        assert!(
+            unclaimed > 0 && untrue > 0,
+            "both repair branches ran: {unclaimed} unclaimed, {untrue} untrue"
+        );
+    }
 
     fn small_config() -> SyntheticConfig {
         SyntheticConfig {
@@ -577,7 +675,7 @@ mod tests {
         for &(copier, leader) in &instance.copier_pairs {
             let mut shared = 0usize;
             let mut agree = 0usize;
-            for &(o, v) in instance.dataset.observations_by_source(copier) {
+            for &(o, v) in instance.dataset.observations_by_source(copier).iter() {
                 if let Some(lv) = instance.dataset.value_of(leader, o) {
                     shared += 1;
                     if lv == v {

@@ -18,8 +18,7 @@
 //!   kernels over flat structure-of-arrays slices; every training and serving
 //!   hot loop bottoms out here.
 //! * [`sgd`] — a small SGD/AdaGrad engine over user-supplied stochastic objectives.
-//! * [`logistic`] — binary and conditional (multiclass, shared-weight) logistic regression
-//!   with hard or fractional targets.
+//! * [`logistic`] — binary logistic regression with hard or fractional targets.
 //! * [`lasso`] — the lasso path (Section 5.3.1, Figures 6 and 9).
 //! * [`matrix`] — rank-one matrix completion used by the optimizer to estimate the average
 //!   source accuracy from the pairwise agreement matrix (Section 4.3).
@@ -38,11 +37,8 @@ pub mod sgd;
 pub mod sparse;
 
 pub use lasso::{lasso_path, LassoPath};
-pub use logistic::{
-    log_loss, sigmoid, softmax_in_place, BinaryExample, BinaryLogisticRegression,
-    ConditionalExample, ConditionalLogit, Target,
-};
-pub use matrix::{rank_one_completion, rank_one_factorize, AgreementMatrix};
+pub use logistic::{log_loss, sigmoid, softmax_in_place, BinaryExample, BinaryLogisticRegression};
+pub use matrix::{rank_one_completion, AgreementMatrix};
 pub use penalty::Penalty;
 pub use schedule::LearningRate;
 pub use sgd::{auto_batch_size, minimize, FitResult, SgdConfig, StochasticObjective};

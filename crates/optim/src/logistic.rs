@@ -1,11 +1,8 @@
-//! Binary and conditional (shared-weight multiclass) logistic regression.
+//! Binary logistic regression and the logistic helpers every learner shares.
 //!
-//! SLiMFast's ERM objective is exactly a conditional logistic regression: for every object
-//! the candidate classes are the distinct values in its domain, the "feature vector" of a
-//! class aggregates the source-indicator and domain features of the sources voting for that
-//! value, and all classes share one weight vector (Equation 4 of the paper). EM's M-step is
-//! the same model with *fractional* targets given by the E-step posterior. The source
-//! accuracy model of Equation 3 is a plain binary logistic regression over source features.
+//! The source accuracy model of Equation 3 is a plain binary logistic regression over
+//! source features. SLiMFast's ERM objective, a conditional logistic regression with one
+//! class per domain value, runs on the compiled problem in `slimfast-core`.
 
 use std::cell::RefCell;
 
@@ -270,256 +267,6 @@ impl BinaryLogisticRegression {
     }
 }
 
-/// The target of a conditional (multiclass) example.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Target {
-    /// The index of the correct class.
-    Hard(usize),
-    /// A distribution over classes (posterior targets).
-    Soft(Vec<f64>),
-}
-
-/// One conditional logistic-regression example: a set of candidate classes, each with its
-/// own sparse feature vector, sharing a single weight vector.
-#[derive(Debug, Clone)]
-pub struct ConditionalExample {
-    /// Per-class sparse feature vectors.
-    pub classes: Vec<SparseVec>,
-    /// The (hard or soft) target.
-    pub target: Target,
-    /// Example weight.
-    pub weight: f64,
-}
-
-impl ConditionalExample {
-    /// A hard-labelled example with unit weight.
-    pub fn new(classes: Vec<SparseVec>, label: usize) -> Self {
-        Self {
-            classes,
-            target: Target::Hard(label),
-            weight: 1.0,
-        }
-    }
-
-    /// A soft-labelled example with unit weight.
-    pub fn soft(classes: Vec<SparseVec>, distribution: Vec<f64>) -> Self {
-        Self {
-            classes,
-            target: Target::Soft(distribution),
-            weight: 1.0,
-        }
-    }
-
-    fn target_prob(&self, class: usize) -> f64 {
-        match &self.target {
-            Target::Hard(label) => {
-                if class == *label {
-                    1.0
-                } else {
-                    0.0
-                }
-            }
-            Target::Soft(dist) => dist.get(class).copied().unwrap_or(0.0),
-        }
-    }
-}
-
-/// Conditional logistic objective over a flat SoA copy of the per-class feature
-/// rows: `class_offsets` maps an example to its contiguous class rows, and
-/// `row_offsets` maps each class row into the shared `params`/`values` CSR
-/// block. Class scores are gathered with [`kernels::dot_csr`] into a
-/// thread-local scratch vector (no per-example allocation) and normalised with
-/// [`kernels::softmax_row`].
-struct ConditionalObjective<'a> {
-    examples: &'a [ConditionalExample],
-    num_params: usize,
-    class_offsets: Vec<u32>,
-    row_offsets: Vec<u32>,
-    params: Vec<u32>,
-    values: Vec<f64>,
-}
-
-impl<'a> ConditionalObjective<'a> {
-    fn new(examples: &'a [ConditionalExample], num_params: usize) -> Self {
-        let (row_offsets, params, values) =
-            flatten_rows(examples.iter().flat_map(|ex| ex.classes.iter()), num_params);
-        let mut class_offsets: Vec<u32> = Vec::with_capacity(examples.len() + 1);
-        class_offsets.push(0);
-        let mut rows = 0u32;
-        for ex in examples {
-            rows += ex.classes.len() as u32;
-            class_offsets.push(rows);
-        }
-        Self {
-            examples,
-            num_params,
-            class_offsets,
-            row_offsets,
-            params,
-            values,
-        }
-    }
-
-    /// The flat feature row of one class row.
-    #[inline]
-    fn class_row(&self, row: usize) -> (&[u32], &[f64]) {
-        let lo = self.row_offsets[row] as usize;
-        let hi = self.row_offsets[row + 1] as usize;
-        (&self.params[lo..hi], &self.values[lo..hi])
-    }
-
-    /// Shared example body: scores every class row into `probs`, softmaxes, then
-    /// reports gradient entries through `emit` and returns the example's loss.
-    #[inline]
-    fn example_body(
-        &self,
-        w: &[f64],
-        example: usize,
-        probs: &mut Vec<f64>,
-        mut emit: impl FnMut(usize, f64),
-    ) -> f64 {
-        let ex = &self.examples[example];
-        if ex.classes.is_empty() {
-            return 0.0;
-        }
-        let rows = self.class_offsets[example] as usize..self.class_offsets[example + 1] as usize;
-        probs.clear();
-        for row in rows.clone() {
-            let (params, values) = self.class_row(row);
-            probs.push(kernels::dot_csr(params, values, w));
-        }
-        kernels::softmax_row(probs);
-        let mut loss = 0.0;
-        for (c, row) in rows.enumerate() {
-            let t = ex.target_prob(c);
-            let err = ex.weight * (probs[c] - t);
-            let (params, values) = self.class_row(row);
-            for (i, v) in params.iter().zip(values) {
-                emit(*i as usize, err * v);
-            }
-            if t > 0.0 {
-                loss += -t * probs[c].clamp(1e-12, 1.0).ln();
-            }
-        }
-        ex.weight * loss
-    }
-}
-
-impl StochasticObjective for ConditionalObjective<'_> {
-    fn num_params(&self) -> usize {
-        self.num_params
-    }
-
-    fn num_examples(&self) -> usize {
-        self.examples.len()
-    }
-
-    fn example_loss_grad(&self, w: &[f64], example: usize, grad: &mut SparseVec) -> f64 {
-        let mut probs = PROB_SCRATCH.with(RefCell::take);
-        // `SparseVec::add` merges repeated coordinates, which the sequential
-        // per-example update path requires.
-        let loss = self.example_body(w, example, &mut probs, |i, g| grad.add(i, g));
-        PROB_SCRATCH.with(|cell| cell.replace(probs));
-        loss
-    }
-
-    fn chunk_loss_grad(
-        &self,
-        w: &[f64],
-        examples: &[usize],
-        entries: &mut Vec<(usize, f64)>,
-    ) -> f64 {
-        let mut probs = PROB_SCRATCH.with(RefCell::take);
-        let mut loss = 0.0;
-        for &example in examples {
-            // Raw pushes suffice here: the batch reducer merges duplicate
-            // coordinates deterministically in push order.
-            loss += self.example_body(w, example, &mut probs, |i, g| entries.push((i, g)));
-        }
-        PROB_SCRATCH.with(|cell| cell.replace(probs));
-        loss
-    }
-}
-
-/// A fitted conditional logistic regression (multiclass with shared weights).
-#[derive(Debug, Clone)]
-pub struct ConditionalLogit {
-    weights: Vec<f64>,
-    fit: Option<FitResult>,
-}
-
-impl ConditionalLogit {
-    /// Wraps an externally produced weight vector.
-    pub fn from_weights(weights: Vec<f64>) -> Self {
-        Self { weights, fit: None }
-    }
-
-    /// Fits the model.
-    pub fn fit(examples: &[ConditionalExample], num_params: usize, config: &SgdConfig) -> Self {
-        Self::fit_warm(examples, num_params, config, None)
-    }
-
-    /// Fits the model starting from `init` weights.
-    pub fn fit_warm(
-        examples: &[ConditionalExample],
-        num_params: usize,
-        config: &SgdConfig,
-        init: Option<Vec<f64>>,
-    ) -> Self {
-        let objective = ConditionalObjective::new(examples, num_params);
-        let fit = minimize(&objective, init, config);
-        Self {
-            weights: fit.weights.clone(),
-            fit: Some(fit),
-        }
-    }
-
-    /// The learned weight vector.
-    pub fn weights(&self) -> &[f64] {
-        &self.weights
-    }
-
-    /// Details of the SGD run, when fitted.
-    pub fn fit_result(&self) -> Option<&FitResult> {
-        self.fit.as_ref()
-    }
-
-    /// Class posterior for a set of candidate classes, written into a caller-owned
-    /// buffer so repeated scoring allocates nothing.
-    pub fn predict_proba_into(&self, classes: &[SparseVec], out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(classes.iter().map(|x| x.dot(&self.weights)));
-        softmax_in_place(out);
-    }
-
-    /// Class posterior for a set of candidate classes.
-    pub fn predict_proba(&self, classes: &[SparseVec]) -> Vec<f64> {
-        let mut scores = Vec::with_capacity(classes.len());
-        self.predict_proba_into(classes, &mut scores);
-        scores
-    }
-
-    /// Mean negative log-likelihood over a set of examples. One probability buffer is
-    /// reused across the whole set (no per-example allocation).
-    pub fn mean_log_loss(&self, examples: &[ConditionalExample]) -> f64 {
-        if examples.is_empty() {
-            return 0.0;
-        }
-        let mut total = 0.0;
-        let mut probs = Vec::new();
-        for ex in examples {
-            self.predict_proba_into(&ex.classes, &mut probs);
-            for (c, &p) in probs.iter().enumerate() {
-                let t = ex.target_prob(c);
-                if t > 0.0 {
-                    total += -ex.weight * t * p.clamp(1e-12, 1.0).ln();
-                }
-            }
-        }
-        total / examples.len() as f64
-    }
-}
-
 /// Helper fitting a binary logistic regression with the given penalty; used by callers that
 /// only need a one-liner (source-quality initialization, the optimizer's diagnostics).
 pub fn fit_binary(
@@ -620,64 +367,6 @@ mod tests {
         let model = BinaryLogisticRegression::fit(&examples, 1, &config);
         let p = model.predict_proba(&SparseVec::from_pairs([(0, 1.0)]));
         assert!((p - 0.7).abs() < 0.03, "p = {p}");
-    }
-
-    #[test]
-    fn conditional_logit_learns_class_preferences() {
-        // Two classes; class feature 0 is the signal for the correct class.
-        let mut examples = Vec::new();
-        for i in 0..200 {
-            let correct_first = i % 2 == 0;
-            let strong = SparseVec::from_pairs([(0, 1.0)]);
-            let weak = SparseVec::from_pairs([(1, 1.0)]);
-            let (classes, label) = if correct_first {
-                (vec![strong.clone(), weak.clone()], 0)
-            } else {
-                (vec![weak.clone(), strong.clone()], 1)
-            };
-            examples.push(ConditionalExample::new(classes, label));
-        }
-        let config = SgdConfig {
-            epochs: 100,
-            tolerance: 0.0,
-            ..SgdConfig::default()
-        };
-        let model = ConditionalLogit::fit(&examples, 2, &config);
-        let probs = model.predict_proba(&[
-            SparseVec::from_pairs([(0, 1.0)]),
-            SparseVec::from_pairs([(1, 1.0)]),
-        ]);
-        assert!(probs[0] > 0.9, "probs = {probs:?}");
-        assert!(model.mean_log_loss(&examples) < 0.2);
-    }
-
-    #[test]
-    fn soft_targets_are_respected() {
-        // Single example repeated; soft target [0.8, 0.2] with distinct class features.
-        let classes = vec![
-            SparseVec::from_pairs([(0, 1.0)]),
-            SparseVec::from_pairs([(1, 1.0)]),
-        ];
-        let examples = vec![ConditionalExample::soft(classes.clone(), vec![0.8, 0.2]); 200];
-        let config = SgdConfig {
-            epochs: 300,
-            tolerance: 0.0,
-            ..SgdConfig::default()
-        };
-        let model = ConditionalLogit::fit(&examples, 2, &config);
-        let probs = model.predict_proba(&classes);
-        assert!((probs[0] - 0.8).abs() < 0.05, "probs = {probs:?}");
-    }
-
-    #[test]
-    fn empty_class_list_contributes_no_loss() {
-        let examples = vec![ConditionalExample::new(Vec::new(), 0)];
-        let config = SgdConfig {
-            epochs: 2,
-            ..SgdConfig::default()
-        };
-        let model = ConditionalLogit::fit(&examples, 3, &config);
-        assert_eq!(model.weights().len(), 3);
     }
 
     #[test]

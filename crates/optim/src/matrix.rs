@@ -3,13 +3,7 @@
 //! SLiMFast's optimizer (Section 4.3) estimates the *average* source accuracy from the
 //! agreement rates of source pairs: with all sources at accuracy `A` and `μ = 2A − 1`, the
 //! expected agreement-rate entry is `E[X_ij] = μ²`, so `μ̂ = sqrt(mean(X_ij))` is the
-//! closed-form solution of `min ½‖X − μ²‖²`. The paper also notes the setup extends to a
-//! per-source accuracy via a general rank-one completion `X_ij ≈ μ_i μ_j`, which
-//! [`rank_one_factorize`] solves with SGD.
-
-use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
+//! closed-form solution of `min ½‖X − μ²‖²`.
 
 /// A symmetric matrix of observed pairwise agreement scores with missing entries.
 ///
@@ -91,51 +85,6 @@ pub fn rank_one_completion(matrix: &AgreementMatrix) -> Option<f64> {
         .map(|mean| mean.max(0.0).sqrt().min(1.0))
 }
 
-/// General rank-one completion `X_ij ≈ μ_i μ_j` solved by SGD, returning one `μ_s` per
-/// source clamped into `[0, 1]` (so `A_s = (μ_s + 1) / 2` is a valid accuracy).
-///
-/// Sources with no observed pair keep the shared estimate from
-/// [`rank_one_completion`] (or `0.0` when that is unavailable).
-pub fn rank_one_factorize(
-    matrix: &AgreementMatrix,
-    epochs: usize,
-    learning_rate: f64,
-    seed: u64,
-) -> Vec<f64> {
-    let n = matrix.dimension();
-    let shared = rank_one_completion(matrix).unwrap_or(0.0);
-    let mut mu = vec![shared.max(0.05); n];
-    let pairs: Vec<(usize, usize, f64)> = matrix.observed().collect();
-    if pairs.is_empty() {
-        return vec![shared; n];
-    }
-    let mut observed_mask = vec![false; n];
-    for &(i, j, _) in &pairs {
-        observed_mask[i] = true;
-        observed_mask[j] = true;
-    }
-    let mut order: Vec<usize> = (0..pairs.len()).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    for epoch in 0..epochs {
-        order.shuffle(&mut rng);
-        let eta = learning_rate / (1.0 + epoch as f64).sqrt();
-        for &p in &order {
-            let (i, j, x) = pairs[p];
-            let err = mu[i] * mu[j] - x;
-            let gi = err * mu[j];
-            let gj = err * mu[i];
-            mu[i] = (mu[i] - eta * gi).clamp(0.0, 1.0);
-            mu[j] = (mu[j] - eta * gj).clamp(0.0, 1.0);
-        }
-    }
-    for (s, observed) in observed_mask.iter().enumerate() {
-        if !observed {
-            mu[s] = shared;
-        }
-    }
-    mu
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -180,33 +129,6 @@ mod tests {
         let m = AgreementMatrix::new(5);
         assert_eq!(rank_one_completion(&m), None);
         assert_eq!(m.mean_off_diagonal(), None);
-        let mu = rank_one_factorize(&m, 10, 0.1, 0);
-        assert_eq!(mu, vec![0.0; 5]);
-    }
-
-    #[test]
-    fn factorization_recovers_heterogeneous_mu() {
-        let truth = [0.9, 0.7, 0.5, 0.3, 0.8, 0.6];
-        let m = full_matrix(&truth);
-        let mu = rank_one_factorize(&m, 500, 0.5, 42);
-        for (est, actual) in mu.iter().zip(truth.iter()) {
-            assert!(
-                (est - actual).abs() < 0.1,
-                "estimated {est}, wanted {actual}"
-            );
-        }
-    }
-
-    #[test]
-    fn factorization_falls_back_for_isolated_sources() {
-        // Source 2 never overlaps with anyone.
-        let mut m = AgreementMatrix::new(3);
-        m.set(0, 1, 0.36);
-        let mu = rank_one_factorize(&m, 100, 0.5, 1);
-        assert!(
-            (mu[2] - 0.6).abs() < 1e-9,
-            "isolated source should use the shared estimate"
-        );
     }
 
     #[test]

@@ -210,8 +210,7 @@ fn theoretical_rates_order_the_regimes_consistently() {
 
     let sparse = small_instance(0.7, 0.03, 0.15, 17);
     let dense = small_instance(0.7, 0.20, 0.15, 17);
-    let sparse_units =
-        slimfast::core::optimizer::em_units(&sparse.dataset, 0.7, Default::default());
-    let dense_units = slimfast::core::optimizer::em_units(&dense.dataset, 0.7, Default::default());
+    let sparse_units = slimfast::core::optimizer::em_units(&sparse.dataset, 0.7);
+    let dense_units = slimfast::core::optimizer::em_units(&dense.dataset, 0.7);
     assert!(dense_units > sparse_units);
 }
